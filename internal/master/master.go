@@ -1,13 +1,15 @@
 // Package master simulates the master-side operating system — the Linux
 // instance on the OMAP's ARM core that hosts the remote control threads
 // and pTest's committer. It provides cooperative threads under a
-// time-sharing round-robin scheduler, using the same deterministic
-// goroutine-handoff mechanism as the pcore slave kernel: exactly one
-// goroutine runs at a time, so co-simulation stays reproducible.
+// time-sharing round-robin scheduler. Like the pcore slave kernel's
+// tasks, each thread runs as an iter.Pull coroutine that yields back to
+// the scheduler at every system call: exactly one of them runs at a
+// time, so co-simulation stays reproducible.
 package master
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/clock"
 )
@@ -73,6 +75,7 @@ type mrequest struct {
 	detail string
 }
 
+// masterKilled unwinds a thread coroutine that Shutdown stopped.
 type masterKilled struct{}
 
 // Thread is one simulated master thread.
@@ -81,10 +84,12 @@ type Thread struct {
 	name     string
 	state    ThreadState
 	entry    func(*Ctx)
-	os       *OS
-	runCh    chan struct{}
-	killed   bool
 	parkedOn string
+
+	next  func() (mrequest, bool) // resume until the next system call
+	stop  func()                  // unwind a parked coroutine
+	yield func(mrequest) bool     // the coroutine's side of next
+	final mrequest                // exit or panic, left by run on its way out
 }
 
 // ID returns the thread id.
@@ -99,33 +104,37 @@ func (t *Thread) State() ThreadState { return t.state }
 // ParkedOn returns the park reason while parked ("" otherwise).
 func (t *Thread) ParkedOn() string { return t.parkedOn }
 
-func (t *Thread) trampoline() {
+// run is the coroutine body hosting the thread's entry function. A
+// return leaves an exit in t.final and a panic leaves mreqPanic; a kill
+// (stop while parked) unwinds silently. The recover must stay in here,
+// because iter.Pull re-raises a coroutine's panic in the scheduler.
+func (t *Thread) run(yield func(mrequest) bool) {
+	t.yield = yield
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
+		switch r := recover().(type) {
+		case nil:
+			t.final = mrequest{kind: mreqExit, th: t, reason: "returned"}
+		case masterKilled:
+		default:
+			t.final = mrequest{kind: mreqPanic, th: t, detail: fmt.Sprint(r)}
 		}
-		if _, ok := r.(masterKilled); ok {
-			t.os.curReq = mrequest{kind: mreqExit, th: t, reason: "killed"}
-		} else {
-			t.os.curReq = mrequest{kind: mreqPanic, th: t, detail: fmt.Sprint(r)}
-		}
-		t.os.syscallCh <- struct{}{}
 	}()
-	<-t.runCh
-	if t.killed {
-		panic(masterKilled{})
-	}
 	t.entry(&Ctx{th: t})
-	t.os.curReq = mrequest{kind: mreqExit, th: t, reason: "returned"}
-	t.os.syscallCh <- struct{}{}
 }
 
+// resume runs the thread until its next system call; once the body has
+// finished, that is the final request it left behind.
+func (t *Thread) resume() mrequest {
+	if req, ok := t.next(); ok {
+		return req
+	}
+	return t.final
+}
+
+// syscall yields the request to the scheduler and returns when the
+// thread is next dispatched. A false yield means Shutdown stopped it.
 func (t *Thread) syscall(req mrequest) {
-	t.os.curReq = req
-	t.os.syscallCh <- struct{}{}
-	<-t.runCh
-	if t.killed {
+	if !t.yield(req) {
 		panic(masterKilled{})
 	}
 }
@@ -157,15 +166,13 @@ func (c *Ctx) Park(reason string) {
 
 // OS is the master operating system instance.
 type OS struct {
-	threads   []*Thread // index id-1
-	runq      []ThreadID
-	syscallCh chan struct{}
-	curReq    mrequest
-	cycles    clock.Cycles
-	lastRun   ThreadID
-	panicked  *ThreadPanic
-	onEvent   func(ThreadEvent)
-	switches  uint64
+	threads  []*Thread // index id-1
+	runq     []ThreadID
+	cycles   clock.Cycles
+	lastRun  ThreadID
+	panicked *ThreadPanic
+	onEvent  func(ThreadEvent)
+	switches uint64
 }
 
 // ThreadPanic records a master thread panic (contained, like a Linux
@@ -184,7 +191,7 @@ type ThreadEvent struct {
 
 // New boots the master OS.
 func New() *OS {
-	return &OS{syscallCh: make(chan struct{})}
+	return &OS{}
 }
 
 // OnEvent registers the trace hook.
@@ -208,11 +215,9 @@ func (o *OS) Spawn(name string, entry func(*Ctx)) ThreadID {
 		id:    ThreadID(len(o.threads) + 1),
 		name:  name,
 		entry: entry,
-		os:    o,
-		runCh: make(chan struct{}),
 	}
+	t.next, t.stop = iter.Pull(t.run)
 	o.threads = append(o.threads, t)
-	go t.trampoline()
 	t.state = TReady
 	o.runq = append(o.runq, t.id)
 	o.cycles += CostSpawn
@@ -264,9 +269,7 @@ func (o *OS) Step() (clock.Cycles, bool) {
 	o.lastRun = id
 	t.state = TRunning
 
-	t.runCh <- struct{}{}
-	<-o.syscallCh
-	req := o.curReq
+	req := t.resume()
 	switch req.kind {
 	case mreqYield:
 		cost += CostYieldM
@@ -305,7 +308,7 @@ func (o *OS) RunUntilIdle(maxSteps int) int {
 	return n
 }
 
-// Shutdown kills all live threads so their goroutines exit.
+// Shutdown kills all live threads, unwinding their coroutines.
 func (o *OS) Shutdown() {
 	for _, t := range o.threads {
 		if t.state == TDone {
@@ -315,9 +318,7 @@ func (o *OS) Shutdown() {
 			// Cannot happen between steps; guard anyway.
 			continue
 		}
-		t.killed = true
-		t.runCh <- struct{}{}
-		<-o.syscallCh
+		t.stop()
 		t.state = TDone
 	}
 	o.runq = nil

@@ -2,6 +2,7 @@ package pcore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/clock"
 )
@@ -52,8 +53,8 @@ type Kernel struct {
 	plan FaultPlan
 
 	tasks     []*Task // index 1..MaxTasks; nil = free slot
-	ready     [NumPriorities][]TaskID
-	readyMask uint32
+	ready     [NumPriorities]readyRing
+	readyMask uint32 // bit p set while ready[p] is non-empty
 
 	tcbPool   *Pool
 	stackPool *Pool
@@ -62,9 +63,6 @@ type Kernel struct {
 	fault   *KernelFault
 	lastRun TaskID
 	current TaskID
-
-	syscallCh chan struct{}
-	curReq    request
 
 	fstate   faultState
 	svcCount int
@@ -86,9 +84,12 @@ func New(cfg Config) *Kernel {
 		tasks:     make([]*Task, cfg.MaxTasks+1),
 		tcbPool:   NewPool("tcb", cfg.MaxTasks),
 		stackPool: NewPool("stack", cfg.MaxTasks),
-		syscallCh: make(chan struct{}),
 		svcCalls:  make(map[Service]uint64),
 		svcCycles: make(map[Service]clock.Cycles),
+	}
+	slots := make([]TaskID, NumPriorities*cfg.MaxTasks)
+	for p := range k.ready {
+		k.ready[p].ids = slots[p*cfg.MaxTasks : (p+1)*cfg.MaxTasks : (p+1)*cfg.MaxTasks]
 	}
 	return k
 }
@@ -124,9 +125,65 @@ func (k *Kernel) crash(reason, detail string, task TaskID) *KernelFault {
 
 // --- ready queue management -------------------------------------------
 
+// readyRing is one priority level's ready queue: a deque of task ids in
+// a fixed ring of MaxTasks slots. A ready task sits in exactly one ready
+// queue and a running or waiting task in none, so the ring never
+// overflows and queue operations never allocate.
+type readyRing struct {
+	ids  []TaskID
+	head int // slot of the front id
+	n    int
+}
+
+// slot maps queue position i (0 = front) to its ring slot.
+func (r *readyRing) slot(i int) int {
+	if i += r.head; i >= len(r.ids) {
+		i -= len(r.ids)
+	}
+	return i
+}
+
+func (r *readyRing) pushBack(id TaskID) {
+	if r.n == len(r.ids) {
+		panic("pcore: ready queue overflow")
+	}
+	r.ids[r.slot(r.n)] = id
+	r.n++
+}
+
+func (r *readyRing) pushFront(id TaskID) {
+	if r.n == len(r.ids) {
+		panic("pcore: ready queue overflow")
+	}
+	r.head = r.slot(len(r.ids) - 1)
+	r.ids[r.head] = id
+	r.n++
+}
+
+func (r *readyRing) popFront() TaskID {
+	id := r.ids[r.head]
+	r.head = r.slot(1)
+	r.n--
+	return id
+}
+
+// remove deletes id, keeping the others in order.
+func (r *readyRing) remove(id TaskID) {
+	for i := 0; i < r.n; i++ {
+		if r.ids[r.slot(i)] != id {
+			continue
+		}
+		for ; i < r.n-1; i++ {
+			r.ids[r.slot(i)] = r.ids[r.slot(i+1)]
+		}
+		r.n--
+		return
+	}
+}
+
 func (k *Kernel) enqueueBack(t *Task) {
 	t.state = StateReady
-	k.ready[t.prio] = append(k.ready[t.prio], t.id)
+	k.ready[t.prio].pushBack(t.id)
 	k.readyMask |= 1 << uint(t.prio)
 }
 
@@ -137,19 +194,14 @@ func (k *Kernel) enqueueFront(t *Task) {
 		return
 	}
 	t.state = StateReady
-	k.ready[t.prio] = append([]TaskID{t.id}, k.ready[t.prio]...)
+	k.ready[t.prio].pushFront(t.id)
 	k.readyMask |= 1 << uint(t.prio)
 }
 
 func (k *Kernel) dequeue(t *Task) {
-	q := k.ready[t.prio]
-	for i, id := range q {
-		if id == t.id {
-			k.ready[t.prio] = append(q[:i], q[i+1:]...)
-			break
-		}
-	}
-	if len(k.ready[t.prio]) == 0 {
+	q := &k.ready[t.prio]
+	q.remove(t.id)
+	if q.n == 0 {
 		k.readyMask &^= 1 << uint(t.prio)
 	}
 }
@@ -159,26 +211,20 @@ func (k *Kernel) pickNext() *Task {
 	if k.readyMask == 0 {
 		return nil
 	}
-	for p := 0; p < NumPriorities; p++ {
-		if k.readyMask&(1<<uint(p)) == 0 {
-			continue
-		}
-		q := k.ready[p]
-		id := q[0]
-		k.ready[p] = q[1:]
-		if len(k.ready[p]) == 0 {
-			k.readyMask &^= 1 << uint(p)
-		}
-		return k.tasks[id]
+	p := bits.TrailingZeros32(k.readyMask)
+	q := &k.ready[p]
+	id := q.popFront()
+	if q.n == 0 {
+		k.readyMask &^= 1 << uint(p)
 	}
-	return nil
+	return k.tasks[id]
 }
 
 // ReadyCount returns the number of ready tasks.
 func (k *Kernel) ReadyCount() int {
 	n := 0
 	for p := 0; p < NumPriorities; p++ {
-		n += len(k.ready[p])
+		n += k.ready[p].n
 	}
 	return n
 }
@@ -212,9 +258,7 @@ func (k *Kernel) Step() (clock.Cycles, bool) {
 	t.state = StateRunning
 	k.emit(Event{Task: t.id, Kind: EvDispatch})
 
-	t.runCh <- struct{}{}
-	<-k.syscallCh
-	req := k.curReq
+	req := t.resume()
 	t.syscalls++
 	cost += k.handle(req)
 	k.current = 0
@@ -266,7 +310,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 		if t.stackUsed > k.cfg.StackSize {
 			if !k.plan.StackGuardOff {
 				used := t.stackUsed
-				k.killParked(t, "stack overflow")
+				k.releaseTask(t, "stack overflow")
 				k.crash(FaultStackOverflow,
 					fmt.Sprintf("task %q used %d of %d stack bytes", t.name, used, k.cfg.StackSize), t.id)
 				return 2
@@ -322,7 +366,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 			m.owner = t
 			k.enqueueFront(t)
 		case m.owner == t:
-			k.killParked(t, "recursive lock")
+			k.releaseTask(t, "recursive lock")
 			k.crash(FaultAssert, fmt.Sprintf("task %q recursively locked %q", t.name, m.name), t.id)
 		default:
 			t.state = StateBlocked
@@ -336,7 +380,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 		m := req.mu
 		if m.owner != t {
 			owner := m.Owner()
-			k.killParked(t, "bad unlock")
+			k.releaseTask(t, "bad unlock")
 			k.crash(FaultAssert, fmt.Sprintf("task %q unlocked %q owned by %d", t.name, m.name, owner), t.id)
 			return CostSemOp
 		}
@@ -365,11 +409,11 @@ func (k *Kernel) handle(req request) clock.Cycles {
 		return CostSemOp
 
 	case reqExit:
-		k.cleanupLocked(t, "exit")
+		k.releaseTask(t, "exit")
 		return CostTaskYield
 
 	case reqTaskPanic:
-		k.cleanupLocked(t, "panic")
+		k.releaseTask(t, "panic")
 		k.crash(FaultAssert, fmt.Sprintf("task %q panicked: %s", t.name, req.detail), t.id)
 		return CostTaskYield
 	}
@@ -389,39 +433,40 @@ func (k *Kernel) neighborOf(t *Task) *Task {
 	return nil
 }
 
-// cleanupLocked terminates a task that is NOT parked in a wait (it just
-// made a request): releases its pool blocks and clears its slot. The
-// goroutine has already ended or will end without touching the kernel.
-func (k *Kernel) cleanupLocked(t *Task, why string) {
-	k.releaseTask(t, why)
+// leaveWait pulls a blocked task out of the wait queue holding it.
+func (t *Task) leaveWait() {
+	if t.waitSem != nil {
+		t.waitSem.waiters.remove(t)
+		t.waitSem = nil
+	}
+	if t.waitMu != nil {
+		t.waitMu.waiters.remove(t)
+		t.waitMu = nil
+	}
+	if t.waitSendQ != nil {
+		t.waitSendQ.sendQ.remove(t)
+		t.waitSendQ = nil
+	}
+	if t.waitRecvQ != nil {
+		t.waitRecvQ.recvQ.remove(t)
+		t.waitRecvQ = nil
+	}
 }
 
-// releaseTask frees a task's resources and marks it terminated.
+// releaseTask terminates a task: it unwinds the task's coroutine if the
+// task is parked (a finished body has nothing left to unwind), frees its
+// resources and clears its slot.
 func (k *Kernel) releaseTask(t *Task, why string) {
 	if t.state == StateTerminated {
 		return
 	}
+	t.stop()
 	// Remove from any queue it might occupy.
 	switch t.state {
 	case StateReady, StateRunning:
 		k.dequeue(t)
 	case StateBlocked:
-		if t.waitSem != nil {
-			t.waitSem.waiters.remove(t)
-			t.waitSem = nil
-		}
-		if t.waitMu != nil {
-			t.waitMu.waiters.remove(t)
-			t.waitMu = nil
-		}
-		if t.waitSendQ != nil {
-			t.waitSendQ.sendQ.remove(t)
-			t.waitSendQ = nil
-		}
-		if t.waitRecvQ != nil {
-			t.waitRecvQ.recvQ.remove(t)
-			t.waitRecvQ = nil
-		}
+		t.leaveWait()
 	}
 	t.state = StateTerminated
 	if err := k.tcbPool.Release(t.tcbBlock); err != nil {
@@ -432,16 +477,6 @@ func (k *Kernel) releaseTask(t *Task, why string) {
 	}
 	k.tasks[t.id] = nil
 	k.emit(Event{Task: t.id, Kind: EvExit, Detail: why})
-}
-
-// killParked terminates a task whose goroutine is parked waiting for
-// dispatch: the kill handshake resumes it, the trampoline unwinds and
-// acknowledges, and the kernel reclaims the slot.
-func (k *Kernel) killParked(t *Task, why string) {
-	t.killed = true
-	t.runCh <- struct{}{}
-	<-k.syscallCh // reqKilledAck
-	k.releaseTask(t, why)
 }
 
 // --- garbage collection -------------------------------------------------

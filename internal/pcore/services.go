@@ -2,6 +2,7 @@ package pcore
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"repro/internal/clock"
@@ -95,15 +96,13 @@ func (k *Kernel) CreateTask(name string, prio Priority, entry func(*Ctx)) (TaskI
 		name:       name,
 		prio:       prio,
 		entry:      entry,
-		k:          k,
-		runCh:      make(chan struct{}),
 		tcbBlock:   tcbBlock,
 		stackBlock: stackBlock,
 		created:    k.cycles,
 	}
+	// The coroutine's body first runs when the task is first dispatched.
+	t.next, t.stop = iter.Pull(t.run)
 	k.tasks[slot] = t
-	t.started = true
-	go t.trampoline()
 	k.enqueueBack(t)
 	k.meter(SvcTaskCreate, CostTaskCreate)
 	return slot, nil
@@ -122,7 +121,7 @@ func (k *Kernel) DeleteTask(id TaskID) error {
 	if err != nil {
 		return err
 	}
-	k.killParked(t, "deleted")
+	k.releaseTask(t, "deleted")
 	if k.fault != nil {
 		return k.fault
 	}
@@ -144,22 +143,7 @@ func (k *Kernel) SuspendTask(id TaskID) error {
 	case StateReady, StateRunning:
 		k.dequeue(t)
 	case StateBlocked:
-		if t.waitSem != nil {
-			t.waitSem.waiters.remove(t)
-			t.waitSem = nil
-		}
-		if t.waitMu != nil {
-			t.waitMu.waiters.remove(t)
-			t.waitMu = nil
-		}
-		if t.waitSendQ != nil {
-			t.waitSendQ.sendQ.remove(t)
-			t.waitSendQ = nil
-		}
-		if t.waitRecvQ != nil {
-			t.waitRecvQ.recvQ.remove(t)
-			t.waitRecvQ = nil
-		}
+		t.leaveWait()
 		t.syscallErr = errRetry
 	case StateSuspended:
 		return k.serviceErr(SvcTaskSuspend, id, "already suspended")
@@ -241,7 +225,7 @@ func (k *Kernel) TerminateTask(id TaskID) error {
 	if err != nil {
 		return err
 	}
-	k.killParked(t, "TY")
+	k.releaseTask(t, "TY")
 	if k.fault != nil {
 		return k.fault
 	}
@@ -309,34 +293,36 @@ func (k *Kernel) Snapshot() Snapshot {
 		CtxSwitches: k.ctxSwitches,
 	}
 	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
-		t := k.tasks[id]
-		if t == nil {
-			continue
+		if t := k.tasks[id]; t != nil {
+			s.Tasks = append(s.Tasks, t.snapshot())
 		}
-		ts := TaskSnapshot{
-			ID:        t.id,
-			Name:      t.name,
-			State:     t.state,
-			Prio:      t.prio,
-			Progress:  t.progress,
-			Syscalls:  t.syscalls,
-			StackUsed: t.stackUsed,
-		}
-		if t.waitSem != nil {
-			ts.WaitingOn = "sem:" + t.waitSem.name
-		}
-		if t.waitMu != nil {
-			ts.WaitingOn = "mutex:" + t.waitMu.name
-		}
-		if t.waitSendQ != nil {
-			ts.WaitingOn = "q-send:" + t.waitSendQ.name
-		}
-		if t.waitRecvQ != nil {
-			ts.WaitingOn = "q-recv:" + t.waitRecvQ.name
-		}
-		s.Tasks = append(s.Tasks, ts)
 	}
 	return s
+}
+
+func (t *Task) snapshot() TaskSnapshot {
+	ts := TaskSnapshot{
+		ID:        t.id,
+		Name:      t.name,
+		State:     t.state,
+		Prio:      t.prio,
+		Progress:  t.progress,
+		Syscalls:  t.syscalls,
+		StackUsed: t.stackUsed,
+	}
+	if t.waitSem != nil {
+		ts.WaitingOn = "sem:" + t.waitSem.name
+	}
+	if t.waitMu != nil {
+		ts.WaitingOn = "mutex:" + t.waitMu.name
+	}
+	if t.waitSendQ != nil {
+		ts.WaitingOn = "q-send:" + t.waitSendQ.name
+	}
+	if t.waitRecvQ != nil {
+		ts.WaitingOn = "q-recv:" + t.waitRecvQ.name
+	}
+	return ts
 }
 
 // TaskInfo returns one task's snapshot; ok is false for free slots.
@@ -344,12 +330,7 @@ func (k *Kernel) TaskInfo(id TaskID) (TaskSnapshot, bool) {
 	if id == InvalidTask || int(id) > k.cfg.MaxTasks || k.tasks[id] == nil {
 		return TaskSnapshot{}, false
 	}
-	for _, ts := range k.Snapshot().Tasks {
-		if ts.ID == id {
-			return ts, true
-		}
-	}
-	return TaskSnapshot{}, false
+	return k.tasks[id].snapshot(), true
 }
 
 // LiveTasks returns the ids of all non-free task slots, ascending.
@@ -421,7 +402,7 @@ func (k *Kernel) ServiceStats() (calls map[Service]uint64, cycles map[Service]cl
 	return calls, cycles
 }
 
-// Shutdown terminates every remaining task so their goroutines exit.
+// Shutdown terminates every remaining task, unwinding its coroutine.
 // The kernel is unusable afterwards. Safe to call on a crashed kernel.
 func (k *Kernel) Shutdown() {
 	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
@@ -429,7 +410,7 @@ func (k *Kernel) Shutdown() {
 		if t == nil {
 			continue
 		}
-		k.killParked(t, "shutdown")
+		k.releaseTask(t, "shutdown")
 	}
 	if k.fault == nil {
 		k.fault = &KernelFault{Reason: "shutdown", Detail: "kernel halted", At: k.cycles}

@@ -6,10 +6,10 @@ import (
 	"repro/internal/clock"
 )
 
-// killedSignal unwinds a task goroutine that the kernel is terminating.
+// killedSignal unwinds a task coroutine that the kernel is terminating.
 type killedSignal struct{}
 
-// exitSignal unwinds a task goroutine that called Ctx.Exit.
+// exitSignal unwinds a task coroutine that called Ctx.Exit.
 type exitSignal struct{}
 
 // errRetry is the internal wake status telling a blocking wrapper to
@@ -33,12 +33,12 @@ const (
 	reqMutexUnlock
 	reqQueueSend
 	reqQueueRecv
-	reqKilledAck
 	reqTaskPanic
 )
 
-// request is the single in-flight task→kernel message. Exactly one
-// request exists at a time because exactly one goroutine runs at a time.
+// request is the single in-flight task→kernel message, the value a task
+// coroutine yields. Exactly one request exists at a time because exactly
+// one coroutine runs at a time.
 type request struct {
 	kind   reqKind
 	task   *Task
@@ -51,7 +51,8 @@ type request struct {
 	detail string // reqTaskPanic message
 }
 
-// Task is a pCore task control block plus its cooperative goroutine.
+// Task is a pCore task control block plus the coroutine running its
+// entry function.
 type Task struct {
 	id    TaskID
 	name  string
@@ -59,11 +60,10 @@ type Task struct {
 	state State
 	entry func(*Ctx)
 
-	k     *Kernel
-	runCh chan struct{}
-
-	killed  bool
-	started bool
+	next  func() (request, bool) // resume until the next kernel request
+	stop  func()                 // unwind a parked coroutine
+	yield func(request) bool     // the coroutine's side of next
+	final request                // exit or panic, left by run on its way out
 
 	tcbBlock   int
 	stackBlock int
@@ -100,44 +100,40 @@ func (t *Task) State() State { return t.state }
 // Progress returns the application progress counter.
 func (t *Task) Progress() uint64 { return t.progress }
 
-// trampoline is the goroutine body hosting the task's entry function.
-// When it hands its final request to the kernel the goroutine is done and
-// never parks again, so every reqExit/reqKilledAck/reqTaskPanic the
-// kernel receives comes from a goroutine that needs no further handshake.
-func (t *Task) trampoline() {
+// run is the coroutine body hosting the task's entry function. Every way
+// out of the entry ends here: a return or Ctx.Exit leaves reqExit in
+// t.final, an application panic leaves reqTaskPanic, and a kill (stop
+// while parked) unwinds silently. The recover must stay in here, because
+// iter.Pull re-raises a coroutine's panic in the kernel.
+func (t *Task) run(yield func(request) bool) {
+	t.yield = yield
 	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		switch r.(type) {
+		switch r := recover().(type) {
+		case nil, exitSignal:
+			t.final = request{kind: reqExit, task: t}
 		case killedSignal:
-			t.k.curReq = request{kind: reqKilledAck, task: t}
-		case exitSignal:
-			t.k.curReq = request{kind: reqExit, task: t}
 		default:
 			// Application code panicked inside the simulated task: surface
 			// it as a kernel fault rather than crashing the host process.
-			t.k.curReq = request{kind: reqTaskPanic, task: t, detail: fmt.Sprint(r)}
+			t.final = request{kind: reqTaskPanic, task: t, detail: fmt.Sprint(r)}
 		}
-		t.k.syscallCh <- struct{}{}
 	}()
-	<-t.runCh
-	if t.killed {
-		panic(killedSignal{})
-	}
 	t.entry(&Ctx{t: t})
-	t.k.curReq = request{kind: reqExit, task: t}
-	t.k.syscallCh <- struct{}{}
 }
 
-// syscall hands the request to the kernel and parks until redispatched.
+// resume runs the task until it makes its next kernel request; once the
+// body has finished, that is the final request it left behind.
+func (t *Task) resume() request {
+	if req, ok := t.next(); ok {
+		return req
+	}
+	return t.final
+}
+
+// syscall yields the request to the kernel and returns when the task is
+// next dispatched. A false yield means the kernel stopped the coroutine.
 func (t *Task) syscall(req request) error {
-	k := t.k
-	k.curReq = req
-	k.syscallCh <- struct{}{}
-	<-t.runCh
-	if t.killed {
+	if !t.yield(req) {
 		panic(killedSignal{})
 	}
 	return t.syscallErr

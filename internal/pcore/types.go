@@ -6,9 +6,9 @@
 // mutexes, and a block-pool allocator whose garbage collector is the
 // fault site of the paper's first case study.
 //
-// Determinism: task bodies run on goroutines, but exactly one goroutine
-// executes at any instant — the kernel hands control to a task over an
-// unbuffered channel and takes it back at every kernel call — so the Go
+// Determinism: each task body runs as an iter.Pull coroutine. The kernel
+// resumes the task, and the task yields control back at every kernel
+// call, so exactly one of them executes at any instant and the Go
 // scheduler never influences simulated behaviour. All simulated faults
 // are captured as *KernelFault values; they never escape as Go panics.
 package pcore

@@ -151,5 +151,7 @@ func (j *Journal) Dump() string {
 	for _, e := range j.entries {
 		fmt.Fprintf(&sb, "#%d t=%d task=%d %s\n", e.Seq, e.At, e.Task, e.Record)
 	}
-	return sb.String()
+	// A campaign keeps every bug's dump until its summary is built, and
+	// the builder's buffer can be twice the text, so keep an exact copy.
+	return strings.Clone(sb.String())
 }

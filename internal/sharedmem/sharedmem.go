@@ -8,6 +8,7 @@ package sharedmem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -46,8 +47,15 @@ type watch struct {
 
 // Memory is the simulated SRAM. Not safe for concurrent use; the
 // co-simulation is single-threaded by design.
+//
+// Only the prefix up to the highest byte written is backed by host
+// memory; every byte past it reads as zero. A stress trial writes a few
+// hundred bytes to a few KB of the 250 KB, and a platform is booted per
+// trial, so backing the whole SRAM would dominate what a trial
+// allocates. Bounds are always checked against the full capacity.
 type Memory struct {
-	data    []byte
+	data    []byte // the written prefix; bytes past it are zero
+	size    int    // capacity in bytes
 	regions []Region
 	next    uint32
 	watches []watch
@@ -58,11 +66,11 @@ func New(size int) *Memory {
 	if size <= 0 {
 		size = DefaultSize
 	}
-	return &Memory{data: make([]byte, size)}
+	return &Memory{size: size}
 }
 
 // Size returns the SRAM capacity in bytes.
-func (m *Memory) Size() int { return len(m.data) }
+func (m *Memory) Size() int { return m.size }
 
 // Alloc reserves a fresh region of the given size at the lowest free
 // address (bump allocation; regions are never freed — the platform's
@@ -71,9 +79,9 @@ func (m *Memory) Alloc(name string, size uint32) (Region, error) {
 	if size == 0 {
 		return Region{}, fmt.Errorf("sharedmem: zero-size region %q", name)
 	}
-	if m.next+size > uint32(len(m.data)) || m.next+size < m.next {
+	if m.next+size > uint32(m.size) || m.next+size < m.next {
 		return Region{}, fmt.Errorf("sharedmem: out of SRAM allocating %d bytes for %q (used %d of %d)",
-			size, name, m.next, len(m.data))
+			size, name, m.next, m.size)
 	}
 	r := Region{Name: name, Base: m.next, Size: size}
 	m.next += size
@@ -92,10 +100,38 @@ func (m *Memory) Regions() []Region {
 func (m *Memory) Used() uint32 { return m.next }
 
 func (m *Memory) check(op string, addr uint32, size int) error {
-	if int(addr)+size > len(m.data) || int(addr) < 0 {
-		return &AccessError{Op: op, Addr: addr, Size: size, Cap: len(m.data)}
+	if int(addr)+size > m.size || int(addr) < 0 {
+		return &AccessError{Op: op, Addr: addr, Size: size, Cap: m.size}
 	}
 	return nil
+}
+
+// span returns the size bytes at addr for reading. A span reaching past
+// the written prefix is copied into buf, which must be zero, so the
+// bytes past the prefix read as zero.
+func (m *Memory) span(addr uint32, size int, buf []byte) []byte {
+	if end := int(addr) + size; end <= len(m.data) {
+		return m.data[addr:end]
+	}
+	if int(addr) < len(m.data) {
+		copy(buf, m.data[addr:])
+	}
+	return buf[:size]
+}
+
+// grow extends the written prefix to cover size bytes at addr and
+// returns them for writing.
+func (m *Memory) grow(addr uint32, size int) []byte {
+	end := int(addr) + size
+	if end > len(m.data) {
+		if end > cap(m.data) {
+			// Bytes past len are zero in a fresh backing array, and the
+			// prefix never shrinks, so reslicing exposes only zeros.
+			m.data = slices.Grow(m.data, max(end, min(2*len(m.data), m.size))-len(m.data))
+		}
+		m.data = m.data[:end]
+	}
+	return m.data[addr:end]
 }
 
 func (m *Memory) notify(addr uint32, size int) {
@@ -116,6 +152,9 @@ func (m *Memory) Read8(addr uint32) (byte, error) {
 	if err := m.check("read", addr, 1); err != nil {
 		return 0, err
 	}
+	if int(addr) >= len(m.data) {
+		return 0, nil
+	}
 	return m.data[addr], nil
 }
 
@@ -124,7 +163,7 @@ func (m *Memory) Write8(addr uint32, v byte) error {
 	if err := m.check("write", addr, 1); err != nil {
 		return err
 	}
-	m.data[addr] = v
+	m.grow(addr, 1)[0] = v
 	m.notify(addr, 1)
 	return nil
 }
@@ -134,7 +173,8 @@ func (m *Memory) Read16(addr uint32) (uint16, error) {
 	if err := m.check("read", addr, 2); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint16(m.data[addr:]), nil
+	var buf [2]byte
+	return binary.LittleEndian.Uint16(m.span(addr, 2, buf[:])), nil
 }
 
 // Write16 writes a little-endian 16-bit value.
@@ -142,7 +182,7 @@ func (m *Memory) Write16(addr uint32, v uint16) error {
 	if err := m.check("write", addr, 2); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint16(m.data[addr:], v)
+	binary.LittleEndian.PutUint16(m.grow(addr, 2), v)
 	m.notify(addr, 2)
 	return nil
 }
@@ -152,7 +192,8 @@ func (m *Memory) Read32(addr uint32) (uint32, error) {
 	if err := m.check("read", addr, 4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(m.data[addr:]), nil
+	var buf [4]byte
+	return binary.LittleEndian.Uint32(m.span(addr, 4, buf[:])), nil
 }
 
 // Write32 writes a little-endian 32-bit value.
@@ -160,7 +201,7 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 	if err := m.check("write", addr, 4); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(m.data[addr:], v)
+	binary.LittleEndian.PutUint32(m.grow(addr, 4), v)
 	m.notify(addr, 4)
 	return nil
 }
@@ -171,7 +212,9 @@ func (m *Memory) ReadBytes(addr uint32, size int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, size)
-	copy(out, m.data[addr:])
+	if int(addr) < len(m.data) {
+		copy(out, m.data[addr:])
+	}
 	return out, nil
 }
 
@@ -180,7 +223,7 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) error {
 	if err := m.check("write", addr, len(b)); err != nil {
 		return err
 	}
-	copy(m.data[addr:], b)
+	copy(m.grow(addr, len(b)), b)
 	m.notify(addr, len(b))
 	return nil
 }
@@ -190,8 +233,9 @@ func (m *Memory) Fill(addr uint32, size int, v byte) error {
 	if err := m.check("write", addr, size); err != nil {
 		return err
 	}
-	for i := 0; i < size; i++ {
-		m.data[int(addr)+i] = v
+	dst := m.grow(addr, size)
+	for i := range dst {
+		dst[i] = v
 	}
 	m.notify(addr, size)
 	return nil
