@@ -5,6 +5,9 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/report"
@@ -194,5 +197,56 @@ func TestSuiteEndToEnd(t *testing.T) {
 	// The fresh report compared against itself passes the gate.
 	if err := cmdCompare([]string{out, out}); err != nil {
 		t.Fatalf("self-compare failed: %v", err)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns
+// what it printed.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+func TestRunDumpJournalPrintsFailureRecords(t *testing.T) {
+	var runErr error
+	out := captureStdout(t, func() {
+		runErr = cmdRun([]string{"-pcore", "-n", "16", "-s", "24", "-workload", "quicksort",
+			"-gc-leak-every", "2", "-dump-journal"})
+	})
+	if !errors.Is(runErr, errFailed) {
+		t.Fatalf("want errFailed (exit 1), got %v", runErr)
+	}
+	const header = "--- reproduction journal of first failure ---\n"
+	_, journal, ok := strings.Cut(out, header)
+	if !ok {
+		t.Fatalf("no journal section in output:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimSuffix(journal, "\n"), "\n")
+	record := regexp.MustCompile(`^#\d+ t=\d+ task=\d+ \(issue:T[A-Z]+, [a-z]+, [A-Z>-]+, \d+, [A-Z>-]*\)$`)
+	for i, line := range lines {
+		if !record.MatchString(line) {
+			t.Fatalf("journal line %d %q is not a Definition 2 record", i+1, line)
+		}
+	}
+	if !strings.HasPrefix(lines[0], "#1 ") {
+		t.Fatalf("journal starts at %q, want the first record", lines[0])
+	}
+	// One record per completed command.
+	m := regexp.MustCompile(`commands issued: (\d+)`).FindStringSubmatch(out)
+	if m == nil || m[1] != strconv.Itoa(len(lines)) {
+		t.Fatalf("journal has %d records, run reports %v", len(lines), m)
 	}
 }

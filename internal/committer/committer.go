@@ -42,6 +42,7 @@ type Committer struct {
 	client  *bridge.Client
 	merged  pattern.Merged
 	perTask [][]string
+	labels  map[string]string // symbol → QM label "issue:<symbol>"
 	policy  PriorityPolicy
 	journal *recording.Journal
 	now     func() clock.Cycles
@@ -68,10 +69,17 @@ func New(client *bridge.Client, merged pattern.Merged, policy PriorityPolicy,
 	if now == nil {
 		now = func() clock.Cycles { return 0 }
 	}
+	labels := map[string]string{}
+	for _, e := range merged.Entries {
+		if _, ok := labels[e.Symbol]; !ok {
+			labels[e.Symbol] = "issue:" + e.Symbol
+		}
+	}
 	return &Committer{
 		client:  client,
 		merged:  merged,
 		perTask: merged.PerTask(),
+		labels:  labels,
 		policy:  policy,
 		journal: journal,
 		now:     now,
@@ -131,6 +139,9 @@ func (c *Committer) ThreadBody(ctx *master.Ctx) {
 }
 
 // record appends the Definition 2 five-tuple for a completed command.
+// It allocates nothing: the label is built once per symbol, the state
+// name is a constant, and TP and δS share the immutable per-task
+// pattern.
 func (c *Committer) record(res Result) {
 	if c.journal == nil {
 		return
@@ -138,7 +149,7 @@ func (c *Committer) record(res Result) {
 	tp := c.perTask[res.Entry.Task]
 	sn := res.Entry.Seq + 1 // 1-based, as in Figure 4
 	rec := recording.Record{
-		QM:  "issue:" + res.Entry.Symbol,
+		QM:  c.labels[res.Entry.Symbol],
 		QS:  res.TaskState.String(),
 		TP:  tp,
 		SN:  sn,

@@ -173,3 +173,28 @@ func TestCustomPolicyApplied(t *testing.T) {
 		t.Fatalf("prio %d", info.Prio)
 	}
 }
+
+// Recording a completed command must not allocate once the journal is at
+// its bound: the label, the state name, TP and δS are all shared.
+func TestRecordDoesNotAllocate(t *testing.T) {
+	merged := mustMerge(t, [][]string{{"TC", "TCH", "TS", "TR", "TD"}, {"TC", "TY"}}, pattern.OpRoundRobin)
+	j := recording.NewJournal(64)
+	c := New(nil, merged, nil, j, nil)
+	// One run records the whole pattern, so a single allocation on any
+	// record shows in the per-run average.
+	recordAll := func() {
+		for i, e := range merged.Entries {
+			c.record(Result{Index: i, Entry: e, TaskState: pcore.StateReady, DoneAt: 42})
+		}
+	}
+	for j.Dropped() == 0 {
+		recordAll()
+	}
+	if allocs := testing.AllocsPerRun(1000, recordAll); allocs != 0 {
+		t.Fatalf("recording %d commands allocates %v times", merged.Len(), allocs)
+	}
+	last, _ := j.Last()
+	if last.Record.QM != "issue:TD" || last.Record.SN != 5 || last.Record.Sub != nil {
+		t.Fatalf("last record %v", last.Record)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/bridge"
+	"repro/internal/committee"
 	"repro/internal/detector"
 	"repro/internal/pattern"
 	"repro/internal/pcore"
@@ -133,7 +134,7 @@ func TestCaseStudy1StressGCCrash(t *testing.T) {
 	if f == nil || (f.Reason != pcore.FaultPoolExhausted && f.Reason != pcore.FaultGCCorruption) {
 		t.Fatalf("fault %v", f)
 	}
-	if out.Bug.Journal == "" {
+	if out.Bug.Journal.String() == "" {
 		t.Fatal("no reproduction journal attached")
 	}
 }
@@ -196,7 +197,7 @@ func TestCaseStudy2DiningDeadlock(t *testing.T) {
 	if len(out.Bug.Cycle) < 2 {
 		t.Fatalf("cycle %v", out.Bug.Cycle)
 	}
-	if out.Bug.Journal == "" {
+	if out.Bug.Journal.String() == "" {
 		t.Fatal("no reproduction journal")
 	}
 }
@@ -355,5 +356,24 @@ func TestArchitectureWiring(t *testing.T) {
 	}
 	if out.Journal.Len() == 0 {
 		t.Fatal("state recording inactive")
+	}
+}
+
+// BenchmarkAdaptiveTrial times one shortcells-shaped trial of Algorithm
+// 1: the quicksort workload with the GC-leak fault, n=8, s=16, roundrobin
+// over the Figure 5 distribution — generation, merging, the co-simulated
+// execution with its state journal, and the detector's report.
+func BenchmarkAdaptiveTrial(b *testing.B) {
+	cfg := Config{
+		RE: pfa.PCoreRE, PD: pfa.PCoreDistribution(),
+		N: 8, S: 16, Op: pattern.OpRoundRobin, Seed: 1,
+		NewFactory: func() committee.Factory { return app.QuicksortFactory(5) },
+		Kernel:     kcfgGCLeak(),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := AdaptiveTest(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -15,11 +15,16 @@ import (
 	"repro/internal/pfa"
 )
 
+// edge is an ordered pair of service labels: a transition
+// (previous label, symbol) or a cross-task pair (symbol, next symbol).
+// As a map key it hashes both strings without building a third.
+type edge struct{ from, to string }
+
 // Tracker accumulates coverage over a stream of issued commands.
 type Tracker struct {
 	services    map[string]int
-	transitions map[string]int // "prevLabel>symbol" per logical task
-	pairs       map[string]int // adjacent cross-task pairs "symA|symB"
+	transitions map[edge]int   // (prevLabel, symbol) per logical task
+	pairs       map[edge]int   // adjacent cross-task pairs (symA, symB)
 	lastSym     map[int]string // per logical task: previous symbol
 	prevTask    int
 	prevSym     string
@@ -31,8 +36,8 @@ type Tracker struct {
 func NewTracker() *Tracker {
 	return &Tracker{
 		services:    map[string]int{},
-		transitions: map[string]int{},
-		pairs:       map[string]int{},
+		transitions: map[edge]int{},
+		pairs:       map[edge]int{},
 		lastSym:     map[int]string{},
 	}
 }
@@ -78,10 +83,10 @@ func (t *Tracker) Observe(task int, symbol string) {
 	if !ok {
 		prev = pfa.StartLabel
 	}
-	t.transitions[prev+">"+symbol]++
+	t.transitions[edge{prev, symbol}]++
 	t.lastSym[task] = symbol
 	if t.hasPrev && t.prevTask != task {
-		t.pairs[t.prevSym+"|"+symbol]++
+		t.pairs[edge{t.prevSym, symbol}]++
 	}
 	t.prevTask, t.prevSym, t.hasPrev = task, symbol, true
 }
@@ -112,14 +117,14 @@ func (t *Tracker) ServiceCoverage(alphabet []string) float64 {
 // Because every PFA state is labelled by its entering service, a
 // transition is identified by (previous service, next service).
 func (t *Tracker) TransitionCoverage(p *pfa.PFA) float64 {
-	edges := map[string]bool{}
+	edges := map[edge]bool{}
 	for s := 0; s < p.NumStates(); s++ {
 		label := p.Label(nfa.StateID(s))
 		if label == "" {
 			label = pfa.StartLabel
 		}
 		for _, tr := range p.Transitions(nfa.StateID(s)) {
-			edges[label+">"+tr.Symbol] = true
+			edges[edge{label, tr.Symbol}] = true
 		}
 	}
 	if len(edges) == 0 {
@@ -172,7 +177,7 @@ func (t *Tracker) TopTransitions(n int) []string {
 	}
 	var all []kv
 	for k, v := range t.transitions {
-		all = append(all, kv{k, v})
+		all = append(all, kv{k.from + ">" + k.to, v})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].v != all[j].v {

@@ -1,9 +1,13 @@
 package coverage
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/nfa"
 	"repro/internal/pfa"
 	"repro/internal/stats"
 )
@@ -77,10 +81,10 @@ func TestPerTaskTransitionTracking(t *testing.T) {
 	tr.Observe(1, "TC")
 	tr.Observe(1, "TS")
 	tr.Observe(0, "TD")
-	if tr.transitions["TC>TD"] != 1 {
+	if tr.transitions[edge{"TC", "TD"}] != 1 {
 		t.Fatalf("transitions %v", tr.transitions)
 	}
-	if tr.transitions["TS>TD"] != 0 {
+	if tr.transitions[edge{"TS", "TD"}] != 0 {
 		t.Fatal("cross-task chaining")
 	}
 }
@@ -177,5 +181,155 @@ func TestUniformVsSkewedCoverageShape(t *testing.T) {
 	covSkewed := cov(skewed, 1)
 	if covUniform <= covSkewed {
 		t.Fatalf("uniform coverage %.3f not above skewed %.3f", covUniform, covSkewed)
+	}
+}
+
+// refTracker is the string-keyed tracker the edge-keyed one replaced,
+// kept as the reference for the model test below.
+type refTracker struct {
+	services    map[string]int
+	transitions map[string]int // "prevLabel>symbol"
+	pairs       map[string]int // "symA|symB"
+	lastSym     map[int]string
+	prevTask    int
+	prevSym     string
+	hasPrev     bool
+	commands    int
+}
+
+func newRefTracker() *refTracker {
+	return &refTracker{
+		services:    map[string]int{},
+		transitions: map[string]int{},
+		pairs:       map[string]int{},
+		lastSym:     map[int]string{},
+	}
+}
+
+func (t *refTracker) Observe(task int, symbol string) {
+	t.commands++
+	t.services[symbol]++
+	prev, ok := t.lastSym[task]
+	if !ok {
+		prev = pfa.StartLabel
+	}
+	t.transitions[prev+">"+symbol]++
+	t.lastSym[task] = symbol
+	if t.hasPrev && t.prevTask != task {
+		t.pairs[t.prevSym+"|"+symbol]++
+	}
+	t.prevTask, t.prevSym, t.hasPrev = task, symbol, true
+}
+
+func (t *refTracker) TransitionCoverage(p *pfa.PFA) float64 {
+	edges := map[string]bool{}
+	for s := 0; s < p.NumStates(); s++ {
+		label := p.Label(nfa.StateID(s))
+		if label == "" {
+			label = pfa.StartLabel
+		}
+		for _, tr := range p.Transitions(nfa.StateID(s)) {
+			edges[label+">"+tr.Symbol] = true
+		}
+	}
+	if len(edges) == 0 {
+		return 0
+	}
+	hit := 0
+	for e := range edges {
+		if t.transitions[e] > 0 {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(edges))
+}
+
+func (t *refTracker) TopTransitions(n int) []string {
+	type kv struct {
+		k string
+		v int
+	}
+	var all []kv
+	for k, v := range t.transitions {
+		all = append(all, kv{k, v})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].v != all[j].v {
+			return all[i].v > all[j].v
+		}
+		return all[i].k < all[j].k
+	})
+	n = min(n, len(all))
+	out := make([]string, n)
+	for i := 0; i < n; i++ {
+		out[i] = fmt.Sprintf("%s %d", all[i].k, all[i].v)
+	}
+	return out
+}
+
+// TestTrackerMatchesStringKeyedReference replays random symbol streams
+// through both trackers. The alphabet mixes the PFA's symbols with ones
+// outside it, and "TC"/"TCH" make one label a prefix of another, which
+// is where ordering by "prev>sym" text and by its parts could differ.
+func TestTrackerMatchesStringKeyedReference(t *testing.T) {
+	machines := map[string]*pfa.PFA{"pcore": pcorePFA(t)}
+	if m, err := pfa.FromRegex("TC (TS TR)+ TD$", nil); err == nil {
+		machines["suspend-resume"] = m
+	} else {
+		t.Fatal(err)
+	}
+	alphabet := []string{"TC", "TCH", "TD", "TS", "TR", "TY", "T", "X"}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := stats.New(seed)
+		got, want := NewTracker(), newRefTracker()
+		tasks := 1 + rng.Intn(5)
+		for i, n := 0, rng.Intn(200); i < n; i++ {
+			task, sym := rng.Intn(tasks), alphabet[rng.Intn(len(alphabet))]
+			got.Observe(task, sym)
+			want.Observe(task, sym)
+		}
+		if got.PairCount() != len(want.pairs) {
+			t.Fatalf("seed %d: pairs %d, reference %d", seed, got.PairCount(), len(want.pairs))
+		}
+		for name, p := range machines {
+			if g, w := got.TransitionCoverage(p), want.TransitionCoverage(p); g != w {
+				t.Fatalf("seed %d %s: transition coverage %v, reference %v", seed, name, g, w)
+			}
+			sum := got.Summarize(p)
+			ref := Summary{
+				Commands:    want.commands,
+				Services:    got.ServiceCoverage(p.Alphabet()),
+				Transitions: want.TransitionCoverage(p),
+				Pairs:       len(want.pairs),
+			}
+			if sum != ref {
+				t.Fatalf("seed %d %s: summary %+v, reference %+v", seed, name, sum, ref)
+			}
+		}
+		for _, n := range []int{0, 1, 3, 100} {
+			if g, w := got.TopTransitions(n), want.TopTransitions(n); !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d: TopTransitions(%d) %q, reference %q", seed, n, g, w)
+			}
+		}
+	}
+}
+
+// Observe on a warmed tracker must not allocate: the transition and
+// pair keys are built without concatenation.
+func TestObserveDoesNotAllocate(t *testing.T) {
+	tr := NewTracker()
+	stream := []struct {
+		task int
+		sym  string
+	}{{0, "TC"}, {1, "TC"}, {0, "TCH"}, {1, "TS"}, {1, "TR"}, {0, "TD"}}
+	observeAll := func() {
+		for _, o := range stream {
+			tr.Observe(o.task, o.sym)
+		}
+	}
+	observeAll()
+	observeAll() // every key the repeated stream uses is now present
+	if allocs := testing.AllocsPerRun(1000, observeAll); allocs != 0 {
+		t.Fatalf("observing %d commands allocates %v times", len(stream), allocs)
 	}
 }

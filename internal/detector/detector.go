@@ -49,7 +49,7 @@ type Report struct {
 	Fault    *pcore.KernelFault // set for BugCrash
 	Cycle    []pcore.TaskID     // set for BugDeadlock: the wait cycle
 	Snapshot pcore.Snapshot
-	Journal  string // Definition 2 record dump for reproduction
+	Journal  recording.View // Definition 2 records for reproduction; String renders them
 }
 
 // String renders a one-line summary.
@@ -112,7 +112,7 @@ func (d *Detector) report(kind BugKind, detail string) *Report {
 		Snapshot: d.p.Slave.Snapshot(),
 	}
 	if d.journal != nil {
-		r.Journal = d.journal.Dump()
+		r.Journal = d.journal.View()
 	}
 	return r
 }
@@ -170,7 +170,7 @@ func (d *Detector) recordCheck() *Report {
 	if d.journal == nil {
 		return nil
 	}
-	for _, e := range d.journal.Since(d.recordsChecked) {
+	for e := range d.journal.After(d.recordsChecked) {
 		d.recordsChecked = e.Seq
 		rec := e.Record
 		if rec.QM == "issue:TR" && rec.QS == pcore.StateSuspended.String() {

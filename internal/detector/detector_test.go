@@ -239,8 +239,8 @@ func TestReportCarriesJournal(t *testing.T) {
 	if r == nil {
 		t.Fatal("no report")
 	}
-	if !strings.Contains(r.Journal, "(m1, ready, TC, 1, )") {
-		t.Fatalf("journal %q", r.Journal)
+	if !strings.Contains(r.Journal.String(), "(m1, ready, TC, 1, )") {
+		t.Fatalf("journal %q", r.Journal.String())
 	}
 	if r.String() == "" {
 		t.Fatal("empty String")
@@ -277,6 +277,43 @@ func TestRecordConsistencyCleanRecords(t *testing.T) {
 	j.Append(13, 0, recording.Record{QM: "issue:TR", QS: "suspended", SN: 4})
 	if r := d.Check(); r == nil {
 		t.Fatal("incremental record missed")
+	}
+}
+
+// The report's journal is a view frozen at the failure: records
+// appended afterwards do not show up in it.
+func TestReportJournalFrozenAtFailure(t *testing.T) {
+	p := newP(t, platform.Config{Factory: spinFactory})
+	j := recording.NewJournal(0)
+	j.Append(10, 0, recording.Record{QM: "issue:TR", QS: "suspended", TP: []string{"TR"}, SN: 1})
+	r := New(p, j, Options{CheckEvery: 1}).Check()
+	if r == nil {
+		t.Fatal("no report")
+	}
+	before := r.Journal.String()
+	j.Append(11, 0, recording.Record{QM: "issue:TD", QS: "terminated", SN: 2})
+	if after := r.Journal.String(); after != before {
+		t.Fatalf("journal changed from %q to %q", before, after)
+	}
+	if before != "#1 t=10 task=0 (issue:TR, suspended, TR, 1, )\n" {
+		t.Fatalf("journal %q", before)
+	}
+}
+
+// With no new record since the last check, the record-consistency scan
+// must not allocate: it runs on every check interval.
+func TestRecordCheckWithoutNewRecordsDoesNotAllocate(t *testing.T) {
+	p := newP(t, platform.Config{Factory: spinFactory})
+	j := recording.NewJournal(0)
+	for i := 0; i < 8; i++ {
+		j.Append(uint64(i), 0, recording.Record{QM: "issue:TR", QS: "ready", SN: i + 1})
+	}
+	d := New(p, j, Options{CheckEvery: 1})
+	if r := d.recordCheck(); r != nil {
+		t.Fatalf("clean records reported %v", r)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { d.recordCheck() }); allocs != 0 {
+		t.Fatalf("recordCheck allocates %v times per check", allocs)
 	}
 }
 

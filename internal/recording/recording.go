@@ -8,6 +8,7 @@ package recording
 import (
 	"encoding/json"
 	"fmt"
+	"iter"
 	"strings"
 )
 
@@ -35,17 +36,15 @@ func (r Record) String() string {
 }
 
 // Remaining returns δS computed from TP and SN: the suffix after the
-// current position. It is the canonical value for Sub.
+// current position, or nil when none is left. It is the canonical value
+// for Sub. The suffix shares tp's storage, so records of one immutable
+// per-task pattern cost no copy.
 func Remaining(tp []string, sn int) []string {
-	if sn < 0 {
-		sn = 0
-	}
+	sn = max(sn, 0)
 	if sn >= len(tp) {
 		return nil
 	}
-	out := make([]string, len(tp)-sn)
-	copy(out, tp[sn:])
-	return out
+	return tp[sn:]
 }
 
 // Entry is a journaled record with its provenance.
@@ -57,8 +56,11 @@ type Entry struct {
 }
 
 // Journal is a bounded in-order log of state records. The zero value is
-// unbounded; use NewJournal for a ring-buffer bound.
+// unbounded; use NewJournal for a bound that keeps the newest entries.
 type Journal struct {
+	// entries is the retained window, oldest first. Appends only ever
+	// write past its end, and a full window slides forward or moves to
+	// a fresh array, so no slot a View has seen is written again.
 	entries []Entry
 	limit   int
 	seq     uint64
@@ -72,15 +74,21 @@ func NewJournal(limit int) *Journal {
 }
 
 // Append adds a record for the logical task at the given virtual time.
+// It is amortized O(1) for bounded journals too: a full window slides
+// forward in its array, and only when the array runs out does it move
+// to a fresh one with room for another limit entries.
 func (j *Journal) Append(at uint64, task int, r Record) {
 	j.seq++
-	e := Entry{Seq: j.seq, At: at, Task: task, Record: r}
-	j.entries = append(j.entries, e)
-	if j.limit > 0 && len(j.entries) > j.limit {
-		drop := len(j.entries) - j.limit
-		j.entries = append(j.entries[:0:0], j.entries[drop:]...)
-		j.dropped += uint64(drop)
+	if j.limit > 0 && len(j.entries) == j.limit {
+		j.entries = j.entries[1:]
+		j.dropped++
+		if len(j.entries) == cap(j.entries) {
+			fresh := make([]Entry, len(j.entries), 2*j.limit)
+			copy(fresh, j.entries)
+			j.entries = fresh
+		}
 	}
+	j.entries = append(j.entries, Entry{Seq: j.seq, At: at, Task: task, Record: r})
 }
 
 // Len returns the number of retained entries.
@@ -94,10 +102,8 @@ func (j *Journal) Entries() []Entry {
 	return append([]Entry{}, j.entries...)
 }
 
-// Since returns a copy of the retained entries with Seq > seq, in order —
-// the incremental accessor the bug detector's record-consistency scan
-// uses to avoid rereading the whole journal every check.
-func (j *Journal) Since(seq uint64) []Entry {
+// after returns the index of the first retained entry with Seq > seq.
+func (j *Journal) after(seq uint64) int {
 	// Entries are in ascending Seq order; binary search the boundary.
 	lo, hi := 0, len(j.entries)
 	for lo < hi {
@@ -108,7 +114,26 @@ func (j *Journal) Since(seq uint64) []Entry {
 			hi = mid
 		}
 	}
-	return append([]Entry{}, j.entries[lo:]...)
+	return lo
+}
+
+// Since returns a copy of the retained entries with Seq > seq, in order.
+func (j *Journal) Since(seq uint64) []Entry {
+	return append([]Entry{}, j.entries[j.after(seq):]...)
+}
+
+// After yields the retained entries with Seq > seq, in order, without
+// copying them — the incremental scan the bug detector's
+// record-consistency check runs on every check. The journal must not be
+// appended to during the iteration.
+func (j *Journal) After(seq uint64) iter.Seq[Entry] {
+	return func(yield func(Entry) bool) {
+		for _, e := range j.entries[j.after(seq):] {
+			if !yield(e) {
+				return
+			}
+		}
+	}
 }
 
 // Last returns the most recent entry, ok=false when empty.
@@ -143,15 +168,30 @@ func (j *Journal) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j.entries)
 }
 
-// Dump renders the journal in the paper's record notation, one per line,
-// most recent last. It is the "related information to help users
-// reproduce the bugs" the detector attaches to reports.
-func (j *Journal) Dump() string {
+// View returns a frozen view of the retained entries in O(1), without
+// copying or rendering them. Later appends never change what it shows.
+func (j *Journal) View() View {
+	return View{entries: j.entries[:len(j.entries):len(j.entries)]}
+}
+
+// Dump renders the journal in the paper's record notation; see
+// View.String.
+func (j *Journal) Dump() string { return j.View().String() }
+
+// View is a frozen view of a journal's entries, taken by Journal.View.
+// The zero value shows an empty journal.
+type View struct {
+	entries []Entry
+}
+
+// String renders the entries in the paper's record notation, one per
+// line, most recent last. It is the "related information to help users
+// reproduce the bugs" the detector attaches to reports, rendered only
+// when someone reads it.
+func (v View) String() string {
 	var sb strings.Builder
-	for _, e := range j.entries {
+	for _, e := range v.entries {
 		fmt.Fprintf(&sb, "#%d t=%d task=%d %s\n", e.Seq, e.At, e.Task, e.Record)
 	}
-	// A campaign keeps every bug's dump until its summary is built, and
-	// the builder's buffer can be twice the text, so keep an exact copy.
-	return strings.Clone(sb.String())
+	return sb.String()
 }

@@ -2,6 +2,10 @@ package recording
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -181,5 +185,126 @@ func TestJournalJSONAndDump(t *testing.T) {
 	dump := j.Dump()
 	if !strings.Contains(dump, "(m1, ready, TC->TD, 1, TD)") {
 		t.Fatalf("dump %q", dump)
+	}
+}
+
+// render is the reference rendering of entries in the paper's notation.
+func render(entries []Entry) string {
+	var sb strings.Builder
+	for _, e := range entries {
+		fmt.Fprintf(&sb, "#%d t=%d task=%d %s\n", e.Seq, e.At, e.Task, e.Record)
+	}
+	return sb.String()
+}
+
+// TestJournalMatchesSliceModel checks every accessor of a bounded
+// journal against a plain slice of everything appended, over three times
+// the bound, and checks that views taken along the way still render the
+// text they showed when taken.
+func TestJournalMatchesSliceModel(t *testing.T) {
+	for _, limit := range []int{0, 1, 2, 7, 64} {
+		rng := rand.New(rand.NewPCG(uint64(limit), 1))
+		j := NewJournal(limit)
+		var all []Entry
+		type frozen struct {
+			v    View
+			want string
+		}
+		var views []frozen
+		tp := []string{"TC", "TS", "TR", "TD"}
+		n := 3*limit + 5
+		for i := 0; i < n; i++ {
+			task := rng.IntN(4)
+			sn := rng.IntN(len(tp) + 1)
+			r := Record{QM: "issue:TS", QS: "ready", TP: tp, SN: sn, Sub: Remaining(tp, sn)}
+			j.Append(uint64(10*i), task, r)
+			all = append(all, Entry{Seq: uint64(i + 1), At: uint64(10 * i), Task: task, Record: r})
+			keep := all
+			if limit > 0 && len(keep) > limit {
+				keep = keep[len(keep)-limit:]
+			}
+
+			if j.Len() != len(keep) || j.Dropped() != uint64(len(all)-len(keep)) {
+				t.Fatalf("limit %d append %d: len %d dropped %d, model %d/%d",
+					limit, i, j.Len(), j.Dropped(), len(keep), len(all)-len(keep))
+			}
+			if got := j.Entries(); !reflect.DeepEqual(got, append([]Entry{}, keep...)) {
+				t.Fatalf("limit %d append %d: entries %v, model %v", limit, i, got, keep)
+			}
+			seq := uint64(rng.IntN(len(all) + 2))
+			var since []Entry
+			for _, e := range keep {
+				if e.Seq > seq {
+					since = append(since, e)
+				}
+			}
+			if got := j.Since(seq); len(got) != len(since) || (len(got) > 0 && !reflect.DeepEqual(got, since)) {
+				t.Fatalf("limit %d append %d: Since(%d) %v, model %v", limit, i, seq, got, since)
+			}
+			if got := slices.Collect(j.After(seq)); !reflect.DeepEqual(got, since) {
+				t.Fatalf("limit %d append %d: After(%d) %v, model %v", limit, i, seq, got, since)
+			}
+			if last, ok := j.Last(); !ok || !reflect.DeepEqual(last, keep[len(keep)-1]) {
+				t.Fatalf("limit %d append %d: Last %v %v", limit, i, last, ok)
+			}
+			probe := rng.IntN(5)
+			want, wantOK := Entry{}, false
+			for _, e := range keep {
+				if e.Task == probe {
+					want, wantOK = e, true
+				}
+			}
+			if got, ok := j.LastForTask(probe); ok != wantOK || !reflect.DeepEqual(got, want) {
+				t.Fatalf("limit %d append %d: LastForTask(%d) %v %v, model %v %v",
+					limit, i, probe, got, ok, want, wantOK)
+			}
+			per := map[int][]Entry{}
+			for _, e := range keep {
+				per[e.Task] = append(per[e.Task], e)
+			}
+			if got := j.PerTask(); !reflect.DeepEqual(got, per) {
+				t.Fatalf("limit %d append %d: PerTask %v, model %v", limit, i, got, per)
+			}
+			if j.Dump() != render(keep) {
+				t.Fatalf("limit %d append %d: Dump %q, model %q", limit, i, j.Dump(), render(keep))
+			}
+			if rng.IntN(3) == 0 {
+				views = append(views, frozen{j.View(), render(keep)})
+			}
+			if i%8 != 0 && i != n-1 {
+				continue
+			}
+			for k, f := range views {
+				if got := f.v.String(); got != f.want {
+					t.Fatalf("limit %d append %d: view %d now renders %q, took %q", limit, i, k, got, f.want)
+				}
+			}
+		}
+	}
+}
+
+func TestZeroViewIsEmpty(t *testing.T) {
+	if s := (View{}).String(); s != "" {
+		t.Fatalf("zero view renders %q", s)
+	}
+	if s := fmt.Sprint(NewJournal(4).View()); s != "" {
+		t.Fatalf("empty journal view renders %q", s)
+	}
+}
+
+// A bounded journal at its limit must append in amortized O(1): no
+// allocation per record once the window is full.
+func TestBoundedAppendAmortized(t *testing.T) {
+	const limit = 256
+	j := NewJournal(limit)
+	r := Record{QM: "issue:TC", QS: "ready"}
+	for i := 0; i < 2*limit; i++ {
+		j.Append(uint64(i), 0, r)
+	}
+	if allocs := testing.AllocsPerRun(4*limit, func() { j.Append(1, 0, r) }); allocs != 0 {
+		t.Fatalf("Append allocates %v times per record at the limit", allocs)
+	}
+	if j.Len() != limit {
+		t.Fatalf("len %d", j.Len())
 	}
 }
