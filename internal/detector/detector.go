@@ -240,6 +240,14 @@ func (d *Detector) Run(maxSteps int) *Report {
 // issued the whole pattern and residual slave activity has settled,
 // instead of stepping infinite workloads to the step budget.
 func (d *Detector) RunUntil(maxSteps int, done func() bool) *Report {
+	return runUntil(d, maxSteps, done)
+}
+
+// runUntil is RunUntil's body; the tests swap in a step-at-a-time
+// reference to check it against.
+var runUntil = (*Detector).runUntil
+
+func (d *Detector) runUntil(maxSteps int, done func() bool) *Report {
 	for i := 0; i < maxSteps; i++ {
 		alive := d.p.Step()
 		d.steps++

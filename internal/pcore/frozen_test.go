@@ -9,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
 	"repro/internal/bridge"
+	"repro/internal/clock"
 	"repro/internal/committee"
 	"repro/internal/master"
 	"repro/internal/pcore"
@@ -34,7 +36,21 @@ import (
 const frozenFile = "testdata/frozen-events.json"
 
 // recorder folds everything a scenario observes into one digest.
-type recorder struct{ h hash.Hash }
+type recorder struct {
+	h hash.Hash
+	drive
+}
+
+// drive says how a scenario advances the kernel. The zero value steps
+// one event at a time and records each step's cost, the frozen form.
+// chunk 1 steps the same way without recording the steps — the
+// reference for Run, whose per-event costs are not visible. A larger
+// chunk advances through Kernel.Run (and Platform.StepN) in runs of up
+// to chunk events, each run also bounded by budget cycles (0: none).
+type drive struct {
+	chunk  int
+	budget clock.Cycles
+}
 
 func (r *recorder) printf(format string, args ...any) { fmt.Fprintf(r.h, format, args...) }
 
@@ -74,9 +90,26 @@ func (r *recorder) step(k *pcore.Kernel) bool {
 	return ran
 }
 
+// steps advances the kernel by n events the way the recorder's drive
+// says.
 func (r *recorder) steps(k *pcore.Kernel, n int) {
-	for i := 0; i < n; i++ {
-		r.step(k)
+	switch r.chunk {
+	case 0:
+		for i := 0; i < n; i++ {
+			r.step(k)
+		}
+	case 1:
+		for i := 0; i < n; i++ {
+			k.Step()
+		}
+	default:
+		for n > 0 {
+			_, taken := k.Run(min(n, r.chunk), r.budget)
+			if taken == 0 {
+				return // idle: further Step calls would change nothing
+			}
+			n -= taken
+		}
 	}
 }
 
@@ -100,36 +133,34 @@ func (s *spawner) create() pcore.TaskID {
 // steps — the remote-command pressure pTest applies.
 func (s *spawner) stress(rng *stats.RNG, steps, gap int) {
 	k, r := s.k, s.r
-	for i := 0; i < steps; i++ {
-		if i%gap == 0 {
-			live := k.LiveTasks()
-			id := pcore.InvalidTask
-			if len(live) > 0 {
-				id = live[rng.Intn(len(live))]
-			}
-			switch rng.Intn(10) {
-			case 0, 1:
-				s.create()
-			case 2, 3, 4:
-				r.printf("TS %d %v\n", id, k.SuspendTask(id))
-			case 5, 6:
-				for _, l := range live {
-					if ts, _ := k.TaskInfo(l); ts.State == pcore.StateSuspended {
-						id = l
-						break
-					}
-				}
-				r.printf("TR %d %v\n", id, k.ResumeTask(id))
-			case 7:
-				p := pcore.Priority(rng.Intn(12))
-				r.printf("TCH %d %d %v\n", id, p, k.ChangePriority(id, p))
-			case 8:
-				r.printf("TD %d %v\n", id, k.DeleteTask(id))
-			case 9:
-				r.printf("TY %d %v\n", id, k.TerminateTask(id))
-			}
+	for i := 0; i < steps; i += gap {
+		live := k.LiveTasks()
+		id := pcore.InvalidTask
+		if len(live) > 0 {
+			id = live[rng.Intn(len(live))]
 		}
-		r.step(k)
+		switch rng.Intn(10) {
+		case 0, 1:
+			s.create()
+		case 2, 3, 4:
+			r.printf("TS %d %v\n", id, k.SuspendTask(id))
+		case 5, 6:
+			for _, l := range live {
+				if ts, _ := k.TaskInfo(l); ts.State == pcore.StateSuspended {
+					id = l
+					break
+				}
+			}
+			r.printf("TR %d %v\n", id, k.ResumeTask(id))
+		case 7:
+			p := pcore.Priority(rng.Intn(12))
+			r.printf("TCH %d %d %v\n", id, p, k.ChangePriority(id, p))
+		case 8:
+			r.printf("TD %d %v\n", id, k.DeleteTask(id))
+		case 9:
+			r.printf("TY %d %v\n", id, k.TerminateTask(id))
+		}
+		r.steps(k, min(gap, steps-i))
 	}
 }
 
@@ -159,8 +190,8 @@ func noiseFrom(seed uint64) func() bool {
 	return func() bool { return rng.Intn(3) == 0 }
 }
 
-func kernelWithRecorder(cfg pcore.Config) (*pcore.Kernel, *recorder) {
-	r := &recorder{h: sha256.New()}
+func kernelWithRecorder(cfg pcore.Config, d drive) (*pcore.Kernel, *recorder) {
+	r := &recorder{h: sha256.New(), drive: d}
 	k := pcore.New(cfg)
 	k.OnEvent(r.event)
 	return k, r
@@ -277,11 +308,12 @@ func churn(s *spawner, rounds int) {
 	}
 }
 
-// frozenScenarios returns every scenario's digest function by name.
-func frozenScenarios() map[string]func() string {
+// frozenScenarios returns every scenario's digest function by name,
+// each advancing its kernel as d says.
+func frozenScenarios(d drive) map[string]func() string {
 	out := map[string]func() string{}
 	run := func(cfg pcore.Config, f committee.Factory, drive func(*spawner)) string {
-		k, r := kernelWithRecorder(cfg)
+		k, r := kernelWithRecorder(cfg, d)
 		s := &spawner{k: k, r: r, f: f}
 		drive(s)
 		r.finish(k)
@@ -327,7 +359,17 @@ func frozenScenarios() map[string]func() string {
 				if err := pc.build(p); err != nil {
 					return "error: " + err.Error()
 				}
-				for i := 0; i < 60000 && p.Step(); i++ {
+				if d.chunk > 1 {
+					for n := 0; n < 60000; {
+						taken, alive := p.StepN(min(d.chunk, 60000-n))
+						if !alive {
+							break
+						}
+						n += taken
+					}
+				} else {
+					for i := 0; i < 60000 && p.Step(); i++ {
+					}
 				}
 				r.printf("platform steps=%d now=%d master=%d switches=%d\n",
 					p.Steps(), p.Now(), p.Master.Cycles(), p.Master.Switches())
@@ -460,7 +502,7 @@ func frozenScenarios() map[string]func() string {
 }
 
 func TestFrozenEventStreams(t *testing.T) {
-	scenarios := frozenScenarios()
+	scenarios := frozenScenarios(drive{})
 	got := make(map[string]string, len(scenarios))
 	for name, fn := range scenarios {
 		got[name] = fn()
@@ -491,10 +533,41 @@ func TestFrozenEventStreams(t *testing.T) {
 
 // The digests must not depend on anything but the scenario.
 func TestFrozenScenariosAreDeterministic(t *testing.T) {
-	scenarios := frozenScenarios()
+	scenarios := frozenScenarios(drive{})
 	for _, name := range []string{"workload/philosophers/noise=true", "platform/jpeg/noise=true", "kill/delete"} {
 		if a, b := scenarios[name](), scenarios[name](); a != b {
 			t.Errorf("%s: %s then %s", name, a, b)
+		}
+	}
+}
+
+// Kernel.Run must be indistinguishable from the Step loop it replaces:
+// every scenario driven through runs of 2, 7 and 64 events, with and
+// without a cycle budget, leaves the same event stream, service
+// statistics and final snapshot as stepping one event at a time. The
+// platform scenarios, driven through Platform.StepN, must reproduce
+// their frozen digests exactly.
+func TestRunMatchesStepLoop(t *testing.T) {
+	data, err := os.ReadFile(filepath.FromSlash(frozenFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frozen map[string]string
+	if err := json.Unmarshal(data, &frozen); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for name, fn := range frozenScenarios(drive{chunk: 1}) {
+		want[name] = fn()
+		if strings.HasPrefix(name, "platform/") {
+			want[name] = frozen[name]
+		}
+	}
+	for _, d := range []drive{{chunk: 2}, {chunk: 7}, {chunk: 64}, {chunk: 64, budget: 100}} {
+		for name, fn := range frozenScenarios(d) {
+			if got := fn(); got != want[name] {
+				t.Errorf("%s with runs of %d, budget %d: digest %s, want %s", name, d.chunk, d.budget, got, want[name])
+			}
 		}
 	}
 }

@@ -266,6 +266,21 @@ func (k *Kernel) Step() (clock.Cycles, bool) {
 	return cost, true
 }
 
+// Run takes up to maxSteps kernel events, exactly as that many Step
+// calls would, and stops early once their summed cost reaches budget (0
+// means no limit). It returns the summed cost and the events taken.
+func (k *Kernel) Run(maxSteps int, budget clock.Cycles) (cost clock.Cycles, steps int) {
+	for steps < maxSteps && (budget == 0 || cost < budget) {
+		c, ran := k.Step()
+		if !ran {
+			break
+		}
+		cost += c
+		steps++
+	}
+	return cost, steps
+}
+
 // RunUntilIdle steps the kernel until no task is ready, the kernel
 // crashes, or maxSteps is exceeded; it returns the steps taken.
 func (k *Kernel) RunUntilIdle(maxSteps int) int {

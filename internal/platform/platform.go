@@ -170,6 +170,18 @@ func (p *Platform) Step() bool {
 	return false
 }
 
+// StepN performs up to max co-simulation rounds, exactly as that many
+// Step calls would, and stops after a round that returns false. It
+// returns the rounds taken and the last round's result.
+func (p *Platform) StepN(max int) (int, bool) {
+	for n := 1; n <= max; n++ {
+		if !p.Step() {
+			return n, false
+		}
+	}
+	return max, true
+}
+
 // RunUntilQuiescent steps until quiescence or maxSteps, returning the
 // number of steps taken.
 func (p *Platform) RunUntilQuiescent(maxSteps int) int {
