@@ -68,6 +68,12 @@ func (c *Committee) SetFactory(f Factory) { c.factory = f }
 // Stats returns the lifetime served/error counters.
 func (c *Committee) Stats() (served, errors uint64) { return c.served, c.errors }
 
+// Idle reports whether Poll has nothing to do: no reply waits for room
+// in the reply mailbox and no command is queued.
+func (c *Committee) Idle() bool {
+	return len(c.pending) == 0 && c.hub.SoC.Boxes.ArmToDspCmd.Len() == 0
+}
+
 // Task returns the live pCore task bound to a logical index.
 func (c *Committee) Task(logical uint32) (pcore.TaskID, bool) {
 	id, ok := c.registry[logical]

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/committee"
 	"repro/internal/detector"
 	"repro/internal/pcore"
 )
@@ -107,5 +108,21 @@ func TestDefaults(t *testing.T) {
 	}
 	if out == nil {
 		t.Fatal("nil outcome")
+	}
+}
+
+// BenchmarkContestTrial runs one noise-injection trial of eight dining
+// philosophers eating 4000 rounds to completion — the shape of the
+// contest cells that set a paper-sized sweep's wall time.
+func BenchmarkContestTrial(b *testing.B) {
+	cfg := Config{
+		Seed: 1, Tasks: 8, NoiseP: 0.2,
+		NewFactory: func() committee.Factory { f, _ := app.Philosophers(8, 4000, false); return f },
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -129,8 +129,10 @@ func (d *Detector) Check() *Report {
 		return d.report(BugMasterPanic,
 			fmt.Sprintf("master thread %d panicked: %s", p.Thread, p.Detail))
 	}
-	// 3. Deadlock: cycle in the wait-for graph.
-	if cycle := FindCycle(d.p.Slave.WaitForGraph()); len(cycle) > 0 {
+	// 3. Deadlock: cycle in the wait-for graph. The graph is built only
+	// to describe a cycle known to exist.
+	if d.p.Slave.HasWaitCycle() {
+		cycle := FindCycle(d.p.Slave.WaitForGraph())
 		r := d.report(BugDeadlock, describeCycle(d.p.Slave, cycle))
 		r.Cycle = cycle
 		return r
@@ -190,14 +192,15 @@ func (d *Detector) recordCheck() *Report {
 // progressCheck watches application progress marks over virtual time.
 func (d *Detector) progressCheck() *Report {
 	now := d.p.Now()
-	snap := d.p.Slave.Snapshot()
 	var total uint64
-	for _, ts := range snap.Tasks {
-		total += ts.Progress
-		prev, seen := d.perTaskProgress[ts.ID]
-		if !seen || ts.Progress > prev {
-			d.perTaskProgress[ts.ID] = ts.Progress
-			d.perTaskStampedAt[ts.ID] = now
+	live := 0
+	for t := range d.p.Slave.Tasks() {
+		live++
+		total += t.Progress()
+		prev, seen := d.perTaskProgress[t.ID()]
+		if !seen || t.Progress() > prev {
+			d.perTaskProgress[t.ID()] = t.Progress()
+			d.perTaskStampedAt[t.ID()] = now
 		}
 	}
 	if total > d.lastTotalProgress || d.lastProgressAt == 0 {
@@ -207,21 +210,21 @@ func (d *Detector) progressCheck() *Report {
 	window := d.opts.ProgressWindow
 	// Livelock: nothing progressed across the window although the
 	// platform keeps running.
-	if len(snap.Tasks) > 0 && now-d.lastProgressAt > window {
+	if live > 0 && now-d.lastProgressAt > window {
 		return d.report(BugLivelock,
 			fmt.Sprintf("no task progressed for %d cycles while the system stayed active", now-d.lastProgressAt))
 	}
 	// Starvation: a runnable or blocked task is stuck across the window
 	// while the system as a whole advanced after its last progress.
-	for _, ts := range snap.Tasks {
-		if ts.State != pcore.StateReady && ts.State != pcore.StateBlocked && ts.State != pcore.StateRunning {
+	for t := range d.p.Slave.Tasks() {
+		if st := t.State(); st != pcore.StateReady && st != pcore.StateBlocked && st != pcore.StateRunning {
 			continue // suspended tasks are intentionally stopped
 		}
-		stamped := d.perTaskStampedAt[ts.ID]
+		stamped := d.perTaskStampedAt[t.ID()]
 		if now-stamped > window && d.lastProgressAt > stamped {
 			return d.report(BugStarvation,
 				fmt.Sprintf("task %d (%s, %s) made no progress for %d cycles while others advanced",
-					ts.ID, ts.Name, ts.State, now-stamped))
+					t.ID(), t.Name(), t.State(), now-stamped))
 		}
 	}
 	return nil
@@ -248,10 +251,14 @@ func (d *Detector) RunUntil(maxSteps int, done func() bool) *Report {
 var runUntil = (*Detector).runUntil
 
 func (d *Detector) runUntil(maxSteps int, done func() bool) *Report {
-	for i := 0; i < maxSteps; i++ {
-		alive := d.p.Step()
-		d.steps++
-		if d.steps%d.opts.CheckEvery == 0 || !alive {
+	every := d.opts.CheckEvery
+	for i := 0; i < maxSteps; {
+		// Advance to the next check boundary (or the step budget) in one
+		// StepN chunk; it ends early only when the platform goes quiet.
+		n, alive := d.p.StepN(min(maxSteps-i, every-d.steps%every))
+		i += n
+		d.steps += n
+		if d.steps%every == 0 || !alive {
 			if r := d.Check(); r != nil {
 				return r
 			}

@@ -1,15 +1,18 @@
 package detector
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/bridge"
 	"repro/internal/committee"
 	"repro/internal/master"
 	"repro/internal/pcore"
 	"repro/internal/platform"
 	"repro/internal/recording"
+	"repro/internal/stats"
 )
 
 func spinFactory(logical uint32) committee.CreateSpec {
@@ -343,5 +346,51 @@ func TestFindCycle(t *testing.T) {
 	c1 := FindCycle(g{5: {6}, 6: {5}, 1: {2}, 2: {1}})
 	if c1[0] != 1 && c1[0] != 2 {
 		t.Fatalf("nondeterministic start %v", c1)
+	}
+}
+
+// Between bugs, a check allocates nothing: on a live platform of eight
+// philosophers (noise makes them block on and wake from their forks),
+// the deadlock test walks owner pointers and the progress check reads
+// the tasks in place. The count covers every check of the run, because
+// AllocsPerRun's per-call average would round a few allocations down to
+// zero.
+func TestCheckBetweenBugsDoesNotAllocate(t *testing.T) {
+	rng := stats.New(2)
+	f, _ := app.Philosophers(8, 1_000_000, true)
+	p := newP(t, platform.Config{Factory: f, Kernel: pcore.Config{Noise: func() bool { return rng.Intn(5) == 0 }}})
+	for logical := uint32(0); logical < 8; logical++ {
+		spec := f(logical)
+		if _, err := p.Slave.CreateTask(spec.Name, spec.Prio, spec.Entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := New(p, nil, Options{})
+	if r := d.RunUntil(20_000, nil); r != nil {
+		t.Fatalf("warm-up reported %v", r)
+	}
+	var allocs uint64
+	var before, after runtime.MemStats
+	blocked := 0
+	for i := 0; i < 300; i++ {
+		p.StepN(64)
+		for tk := range p.Slave.Tasks() {
+			if tk.State() == pcore.StateBlocked {
+				blocked++
+			}
+		}
+		runtime.ReadMemStats(&before)
+		r := d.Check()
+		runtime.ReadMemStats(&after)
+		if r != nil {
+			t.Fatalf("check %d reported %v", i, r)
+		}
+		allocs += after.Mallocs - before.Mallocs
+	}
+	if allocs != 0 {
+		t.Fatalf("%d allocations over 300 checks, want 0", allocs)
+	}
+	if blocked == 0 {
+		t.Fatal("no philosopher ever waited on a fork")
 	}
 }

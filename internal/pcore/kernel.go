@@ -62,7 +62,18 @@ type Kernel struct {
 	cycles  clock.Cycles
 	fault   *KernelFault
 	lastRun TaskID
-	current TaskID
+
+	// The current Run: the task holding the processor in the event being
+	// taken (nil between events), that event's context-switch cost, the
+	// events the run may still take, and its cycle budget from runStart
+	// (0: none).
+	running    *Task
+	switchCost clock.Cycles
+	runLeft    int
+	runStart   clock.Cycles
+	runBudget  clock.Cycles
+
+	waitMark []TaskID // HasWaitCycle's scratch: the walk that reached each slot
 
 	fstate   faultState
 	svcCount int
@@ -73,6 +84,7 @@ type Kernel struct {
 	svcCycles   map[Service]clock.Cycles
 	ctxSwitches uint64
 	dispatches  uint64
+	inline      uint64 // events a task took on its own coroutine
 }
 
 // New boots a kernel with the given configuration.
@@ -82,6 +94,7 @@ func New(cfg Config) *Kernel {
 		cfg:       cfg,
 		plan:      cfg.Faults,
 		tasks:     make([]*Task, cfg.MaxTasks+1),
+		waitMark:  make([]TaskID, cfg.MaxTasks+1),
 		tcbPool:   NewPool("tcb", cfg.MaxTasks),
 		stackPool: NewPool("stack", cfg.MaxTasks),
 		svcCalls:  make(map[Service]uint64),
@@ -110,6 +123,14 @@ func (k *Kernel) emit(e Event) {
 	e.At = k.cycles
 	if k.onEvent != nil {
 		k.onEvent(e)
+	}
+}
+
+// emitNamed emits an event whose detail is prefix+name, building the
+// text only when a hook is listening.
+func (k *Kernel) emitNamed(id TaskID, kind EventKind, prefix, name string) {
+	if k.onEvent != nil {
+		k.emit(Event{Task: id, Kind: kind, Detail: prefix + name})
 	}
 }
 
@@ -239,46 +260,101 @@ func (k *Kernel) Idle() bool { return k.readyMask == 0 }
 // the virtual-cycle cost and whether any task ran. A crashed kernel
 // never runs.
 func (k *Kernel) Step() (clock.Cycles, bool) {
-	if k.fault != nil {
-		return 0, false
-	}
-	t := k.pickNext()
-	if t == nil {
-		return 0, false
-	}
-	var cost clock.Cycles
-	if k.lastRun != t.id {
-		cost += CostContextSw
-		k.ctxSwitches++
-		t.sliceUsed = 0
-	}
-	k.lastRun = t.id
-	k.current = t.id
-	k.dispatches++
-	t.state = StateRunning
-	k.emit(Event{Task: t.id, Kind: EvDispatch})
-
-	req := t.resume()
-	t.syscalls++
-	cost += k.handle(req)
-	k.current = 0
-	k.cycles += cost
-	return cost, true
+	cost, steps := k.Run(1, 0)
+	return cost, steps > 0
 }
 
 // Run takes up to maxSteps kernel events, exactly as that many Step
 // calls would, and stops early once their summed cost reaches budget (0
 // means no limit). It returns the summed cost and the events taken.
+//
+// A task that keeps the processor from one event to the next takes
+// them on its own coroutine (see Task.syscall); the loop here resumes a
+// task only when the processor changes hands.
 func (k *Kernel) Run(maxSteps int, budget clock.Cycles) (cost clock.Cycles, steps int) {
-	for steps < maxSteps && (budget == 0 || cost < budget) {
-		c, ran := k.Step()
-		if !ran {
+	k.runLeft, k.runStart, k.runBudget = maxSteps, k.cycles, budget
+	for k.runMore() {
+		t := k.pickNext()
+		if t == nil {
 			break
 		}
-		cost += c
-		steps++
+		k.dispatch(t)
+		if req := t.resume(); req != nil {
+			k.finish(req)
+		}
 	}
-	return cost, steps
+	steps = maxSteps - k.runLeft
+	k.runLeft = 0
+	return k.cycles - k.runStart, steps
+}
+
+// runMore reports whether the current run may take another event.
+func (k *Kernel) runMore() bool {
+	return k.fault == nil && k.runLeft > 0 &&
+		(k.runBudget == 0 || k.cycles-k.runStart < k.runBudget)
+}
+
+// dispatch starts an event: t takes the processor, paying a context
+// switch if another task ran last.
+func (k *Kernel) dispatch(t *Task) {
+	k.switchCost = 0
+	if k.lastRun != t.id {
+		k.switchCost = CostContextSw
+		k.ctxSwitches++
+		t.sliceUsed = 0
+	}
+	k.lastRun = t.id
+	k.running = t
+	k.runLeft--
+	k.dispatches++
+	t.state = StateRunning
+	k.emit(Event{Task: t.id, Kind: EvDispatch})
+}
+
+// finish ends the running event with the task's request: it processes
+// the request and charges the event's cost.
+func (k *Kernel) finish(req *request) {
+	k.running = nil
+	req.task.syscalls++
+	cost := k.switchCost + k.handle(req)
+	k.cycles += cost
+}
+
+// continueRun starts the run's next event for t, which has just served
+// its own request, when the run has room for it and t is the task
+// pickNext would return: ready and at the front of the most urgent
+// non-empty ready queue.
+func (k *Kernel) continueRun(t *Task) bool {
+	if !k.runMore() || t.state != StateReady || bits.TrailingZeros32(k.readyMask) != int(t.prio) {
+		return false
+	}
+	if q := &k.ready[t.prio]; q.ids[q.head] != t.id {
+		return false
+	}
+	k.pickNext()
+	k.dispatch(t)
+	k.inline++
+	return true
+}
+
+// RunStats returns the events taken so far and how many of them a task
+// took on its own coroutine, straight on from its previous event.
+func (k *Kernel) RunStats() (events, inline uint64) { return k.dispatches, k.inline }
+
+// terminates reports whether handling req ends its task — a guarded
+// stack overflow, a recursive lock or a bad unlock (exit and panic are
+// final requests, never system calls). Those go to the kernel side,
+// which can unwind the task's coroutine.
+func (k *Kernel) terminates(req *request) bool {
+	switch req.kind {
+	case reqStackPush:
+		return req.task.stackUsed+req.bytes > k.cfg.StackSize && !k.plan.StackGuardOff
+	case reqMutexLock:
+		return req.mu.owner == req.task
+	case reqMutexUnlock:
+		return req.mu.owner != req.task
+	}
+	return false
 }
 
 // RunUntilIdle steps the kernel until no task is ready, the kernel
@@ -296,7 +372,7 @@ func (k *Kernel) RunUntilIdle(maxSteps int) int {
 
 // handle processes one task request and returns its cycle cost. On
 // return the requesting task is in a well-defined non-running state.
-func (k *Kernel) handle(req request) clock.Cycles {
+func (k *Kernel) handle(req *request) clock.Cycles {
 	t := req.task
 	t.syscallErr = nil
 	switch req.kind {
@@ -356,7 +432,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 		t.state = StateBlocked
 		t.waitSem = s
 		s.waiters.push(t)
-		k.emit(Event{Task: t.id, Kind: EvBlock, Detail: "sem " + s.name})
+		k.emitNamed(t.id, EvBlock, "sem ", s.name)
 		return CostSemOp
 
 	case reqSemSignal:
@@ -367,7 +443,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 			w.state = StateReady
 			w.waitSem = nil
 			k.enqueueBack(w)
-			k.emit(Event{Task: w.id, Kind: EvWake, Detail: "sem " + s.name})
+			k.emitNamed(w.id, EvWake, "sem ", s.name)
 		} else {
 			s.count++
 		}
@@ -387,7 +463,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 			t.state = StateBlocked
 			t.waitMu = m
 			m.waiters.push(t)
-			k.emit(Event{Task: t.id, Kind: EvBlock, Detail: "mutex " + m.name})
+			k.emitNamed(t.id, EvBlock, "mutex ", m.name)
 		}
 		return CostSemOp
 
@@ -404,7 +480,7 @@ func (k *Kernel) handle(req request) clock.Cycles {
 			w.state = StateReady
 			w.waitMu = nil
 			k.enqueueBack(w)
-			k.emit(Event{Task: w.id, Kind: EvWake, Detail: "mutex " + m.name})
+			k.emitNamed(w.id, EvWake, "mutex ", m.name)
 		} else {
 			m.owner = nil
 		}

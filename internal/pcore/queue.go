@@ -55,7 +55,7 @@ func (k *Kernel) handleSend(t *Task, q *MsgQueue, msg uint32) bool {
 		w.waitRecvQ = nil
 		w.recvVal = msg
 		k.enqueueBack(w)
-		k.emit(Event{Task: w.id, Kind: EvWake, Detail: "queue " + q.name})
+		k.emitNamed(w.id, EvWake, "queue ", q.name)
 		return true
 	}
 	if len(q.buf) < q.cap {
@@ -66,7 +66,7 @@ func (k *Kernel) handleSend(t *Task, q *MsgQueue, msg uint32) bool {
 	t.waitSendQ = q
 	t.sendVal = msg
 	q.sendQ.push(t)
-	k.emit(Event{Task: t.id, Kind: EvBlock, Detail: "queue-send " + q.name})
+	k.emitNamed(t.id, EvBlock, "queue-send ", q.name)
 	return false
 }
 
@@ -83,13 +83,13 @@ func (k *Kernel) handleRecv(t *Task, q *MsgQueue) bool {
 			w.state = StateReady
 			w.waitSendQ = nil
 			k.enqueueBack(w)
-			k.emit(Event{Task: w.id, Kind: EvWake, Detail: "queue " + q.name})
+			k.emitNamed(w.id, EvWake, "queue ", q.name)
 		}
 		return true
 	}
 	t.state = StateBlocked
 	t.waitRecvQ = q
 	q.recvQ.push(t)
-	k.emit(Event{Task: t.id, Kind: EvBlock, Detail: "queue-recv " + q.name})
+	k.emitNamed(t.id, EvBlock, "queue-recv ", q.name)
 	return false
 }

@@ -3,7 +3,6 @@ package pcore
 import (
 	"fmt"
 	"iter"
-	"sort"
 
 	"repro/internal/clock"
 )
@@ -96,6 +95,7 @@ func (k *Kernel) CreateTask(name string, prio Priority, entry func(*Ctx)) (TaskI
 		name:       name,
 		prio:       prio,
 		entry:      entry,
+		k:          k,
 		tcbBlock:   tcbBlock,
 		stackBlock: stackBlock,
 		created:    k.cycles,
@@ -333,6 +333,17 @@ func (k *Kernel) TaskInfo(id TaskID) (TaskSnapshot, bool) {
 	return k.tasks[id].snapshot(), true
 }
 
+// Tasks iterates over the live tasks in id order without allocating.
+func (k *Kernel) Tasks() iter.Seq[*Task] {
+	return func(yield func(*Task) bool) {
+		for _, t := range k.tasks[1:] {
+			if t != nil && !yield(t) {
+				return
+			}
+		}
+	}
+}
+
 // LiveTasks returns the ids of all non-free task slots, ascending.
 func (k *Kernel) LiveTasks() []TaskID {
 	var out []TaskID
@@ -344,30 +355,57 @@ func (k *Kernel) LiveTasks() []TaskID {
 	return out
 }
 
-// WaitForGraph returns the blocked-on-mutex edges task → current owner,
-// the input to the detector's deadlock (cycle) analysis. Edges to dead
+// waitsFor returns the task id's blocked-on-mutex edge leads to — the
+// mutex's current owner — or InvalidTask when it has none. Edges to dead
 // owners are excluded: a mutex whose owner was deleted (pCore leaks such
 // locks deliberately) is an orphaned lock, reported separately through
 // OrphanedWaiters — and because TCB slots are reused, a stale owner
 // pointer must be compared by identity, not by id.
+func (k *Kernel) waitsFor(id TaskID) TaskID {
+	t := k.tasks[id]
+	if t == nil || t.state != StateBlocked || t.waitMu == nil || t.waitMu.owner == nil {
+		return InvalidTask
+	}
+	owner := t.waitMu.owner
+	if k.tasks[owner.id] != owner {
+		return InvalidTask // owner terminated; slot may hold a new incarnation
+	}
+	return owner.id
+}
+
+// WaitForGraph returns the blocked-on-mutex edges task → current owner,
+// the input to the detector's deadlock (cycle) analysis. A task waits on
+// at most one mutex, so each node has at most one edge.
 func (k *Kernel) WaitForGraph() map[TaskID][]TaskID {
 	g := map[TaskID][]TaskID{}
 	for id := TaskID(1); int(id) <= k.cfg.MaxTasks; id++ {
-		t := k.tasks[id]
-		if t == nil || t.state != StateBlocked || t.waitMu == nil || t.waitMu.owner == nil {
-			continue
+		if owner := k.waitsFor(id); owner != InvalidTask {
+			g[id] = []TaskID{owner}
 		}
-		owner := t.waitMu.owner
-		if k.tasks[owner.id] != owner {
-			continue // owner terminated; slot may hold a new incarnation
-		}
-		g[id] = append(g[id], owner.id)
-	}
-	// Deterministic edge order.
-	for id := range g {
-		sort.Slice(g[id], func(i, j int) bool { return g[id][i] < g[id][j] })
 	}
 	return g
+}
+
+// HasWaitCycle reports whether the wait-for graph has a cycle, without
+// building it or allocating: with at most one edge per node, a walk
+// along owner edges from each task not yet reached closes a cycle
+// exactly when it comes back to a task it reached itself.
+func (k *Kernel) HasWaitCycle() bool {
+	mark := k.waitMark
+	clear(mark)
+	for start := TaskID(1); int(start) <= k.cfg.MaxTasks; start++ {
+		for id := start; mark[id] == 0; {
+			mark[id] = start
+			id = k.waitsFor(id)
+			if id == InvalidTask {
+				break
+			}
+			if mark[id] == start {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // OrphanedWaiters returns tasks blocked on mutexes whose owners have

@@ -1,6 +1,10 @@
 package pcore
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/stats"
+)
 
 // stepKernel boots a kernel with 4 equal-priority tasks cycling through
 // Yield, Compute, Progress and an uncontended Lock–Unlock — the kernel
@@ -38,6 +42,46 @@ func TestKernelStepDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%.2f allocations per Step, want 0", allocs)
+	}
+}
+
+// A steady-state Run — tasks taking events on their own coroutines, and
+// noise forcing yields inside the critical section so that tasks also
+// block on the mutex and wake — allocates nothing. The count covers the
+// whole run: a per-call average from AllocsPerRun would round a few
+// allocations down to zero.
+func TestKernelRunDoesNotAllocate(t *testing.T) {
+	rng := stats.New(1)
+	k := New(Config{Noise: func() bool { return rng.Intn(4) == 0 }})
+	t.Cleanup(k.Shutdown)
+	m := NewMutex("m")
+	for i := 0; i < 4; i++ {
+		if _, err := k.CreateTask("locker", 5, func(c *Ctx) {
+			for {
+				c.Lock(m)
+				c.Compute(10)
+				c.Progress()
+				c.Unlock(m)
+				c.Yield()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.Run(1000, 0)
+	before, _ := k.RunStats()
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 200; i++ {
+			if _, steps := k.Run(64, 0); steps != 64 {
+				t.Fatalf("run took %d of 64 events", steps)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations over 200 runs of 64 events, want 0", allocs)
+	}
+	if events, inline := k.RunStats(); inline == 0 || events == before {
+		t.Fatalf("events %d, inline %d: the runs did not run ahead", events, inline)
 	}
 }
 

@@ -36,9 +36,9 @@ const (
 	reqTaskPanic
 )
 
-// request is the single in-flight task→kernel message, the value a task
-// coroutine yields. Exactly one request exists at a time because exactly
-// one coroutine runs at a time.
+// request is a task→kernel message. Each task fills its own request
+// slot and hands the kernel a pointer to it; a nil request means the
+// task already served its call itself (see Task.syscall).
 type request struct {
 	kind   reqKind
 	task   *Task
@@ -59,11 +59,13 @@ type Task struct {
 	prio  Priority
 	state State
 	entry func(*Ctx)
+	k     *Kernel
 
-	next  func() (request, bool) // resume until the next kernel request
-	stop  func()                 // unwind a parked coroutine
-	yield func(request) bool     // the coroutine's side of next
-	final request                // exit or panic, left by run on its way out
+	next  func() (*request, bool) // resume until the next kernel request
+	stop  func()                  // unwind a parked coroutine
+	yield func(*request) bool     // the coroutine's side of next
+	req   request                 // the slot the task's system calls fill
+	final request                 // exit or panic, left by run on its way out
 
 	tcbBlock   int
 	stackBlock int
@@ -105,7 +107,7 @@ func (t *Task) Progress() uint64 { return t.progress }
 // t.final, an application panic leaves reqTaskPanic, and a kill (stop
 // while parked) unwinds silently. The recover must stay in here, because
 // iter.Pull re-raises a coroutine's panic in the kernel.
-func (t *Task) run(yield func(request) bool) {
+func (t *Task) run(yield func(*request) bool) {
 	t.yield = yield
 	defer func() {
 		switch r := recover().(type) {
@@ -122,17 +124,31 @@ func (t *Task) run(yield func(request) bool) {
 }
 
 // resume runs the task until it makes its next kernel request; once the
-// body has finished, that is the final request it left behind.
-func (t *Task) resume() request {
+// body has finished, that is the final request it left behind. A nil
+// request means the task served its last call itself.
+func (t *Task) resume() *request {
 	if req, ok := t.next(); ok {
 		return req
 	}
-	return t.final
+	return &t.final
 }
 
-// syscall yields the request to the kernel and returns when the task is
-// next dispatched. A false yield means the kernel stopped the coroutine.
-func (t *Task) syscall(req request) error {
+// syscall issues the request in t.req and returns when the task is next
+// dispatched. While t holds the processor inside a Kernel.Run, it serves
+// the request itself, on its own coroutine; if the scheduler would then
+// pick t again and the run has events left, t takes the next event
+// without a coroutine switch. Requests that terminate the caller go to
+// the kernel side, because a coroutine cannot stop itself. A false yield
+// means the kernel stopped the coroutine.
+func (t *Task) syscall() error {
+	k, req := t.k, &t.req
+	if k.running == t && !k.terminates(req) {
+		k.finish(req)
+		if k.continueRun(t) {
+			return t.syscallErr
+		}
+		req = nil
+	}
 	if !t.yield(req) {
 		panic(killedSignal{})
 	}
@@ -156,7 +172,10 @@ func (c *Ctx) Priority() Priority { return c.t.prio }
 
 // Yield gives up the processor to other ready tasks (the yield() of the
 // paper's Figure 1) without changing state.
-func (c *Ctx) Yield() { _ = c.t.syscall(request{kind: reqYield, task: c.t}) }
+func (c *Ctx) Yield() {
+	c.t.req = request{kind: reqYield, task: c.t}
+	_ = c.t.syscall()
+}
 
 // Compute charges a burst of virtual cycles of pure computation; it is a
 // preemption point but keeps the task ready.
@@ -164,13 +183,17 @@ func (c *Ctx) Compute(cycles int) {
 	if cycles <= 0 {
 		return
 	}
-	_ = c.t.syscall(request{kind: reqCompute, task: c.t, cycles: clock.Cycles(cycles)})
+	c.t.req = request{kind: reqCompute, task: c.t, cycles: clock.Cycles(cycles)}
+	_ = c.t.syscall()
 }
 
 // Progress marks application-level progress; the bug detector treats a
 // task that keeps scheduling without marking progress as potentially
 // livelocked/starved.
-func (c *Ctx) Progress() { _ = c.t.syscall(request{kind: reqProgress, task: c.t}) }
+func (c *Ctx) Progress() {
+	c.t.req = request{kind: reqProgress, task: c.t}
+	_ = c.t.syscall()
+}
 
 // Exit terminates the calling task voluntarily. It unwinds the task body
 // and never returns.
@@ -182,19 +205,21 @@ func (c *Ctx) Exit() {
 // task's 512-byte stack; it returns an error only through kernel faulting
 // (overflow crashes the slave, it does not return). Balance with StackPop.
 func (c *Ctx) StackPush(bytes int) {
-	_ = c.t.syscall(request{kind: reqStackPush, task: c.t, bytes: bytes})
+	c.t.req = request{kind: reqStackPush, task: c.t, bytes: bytes}
+	_ = c.t.syscall()
 }
 
 // StackPop models leaving a function frame.
 func (c *Ctx) StackPop(bytes int) {
-	_ = c.t.syscall(request{kind: reqStackPop, task: c.t, bytes: bytes})
+	c.t.req = request{kind: reqStackPop, task: c.t, bytes: bytes}
+	_ = c.t.syscall()
 }
 
 // SemWait blocks until the semaphore has a unit available and consumes it.
 func (c *Ctx) SemWait(s *Sem) {
 	for {
-		err := c.t.syscall(request{kind: reqSemWait, task: c.t, sem: s})
-		if err != errRetry {
+		c.t.req = request{kind: reqSemWait, task: c.t, sem: s}
+		if c.t.syscall() != errRetry {
 			return
 		}
 	}
@@ -202,14 +227,15 @@ func (c *Ctx) SemWait(s *Sem) {
 
 // SemSignal releases one unit of the semaphore.
 func (c *Ctx) SemSignal(s *Sem) {
-	_ = c.t.syscall(request{kind: reqSemSignal, task: c.t, sem: s})
+	c.t.req = request{kind: reqSemSignal, task: c.t, sem: s}
+	_ = c.t.syscall()
 }
 
 // Lock acquires the mutex, blocking while another task owns it.
 func (c *Ctx) Lock(m *Mutex) {
 	for {
-		err := c.t.syscall(request{kind: reqMutexLock, task: c.t, mu: m})
-		if err != errRetry {
+		c.t.req = request{kind: reqMutexLock, task: c.t, mu: m}
+		if c.t.syscall() != errRetry {
 			return
 		}
 	}
@@ -219,14 +245,15 @@ func (c *Ctx) Lock(m *Mutex) {
 // a kernel assert (crashes the simulated slave, as on a tiny RTOS with
 // assertions enabled).
 func (c *Ctx) Unlock(m *Mutex) {
-	_ = c.t.syscall(request{kind: reqMutexUnlock, task: c.t, mu: m})
+	c.t.req = request{kind: reqMutexUnlock, task: c.t, mu: m}
+	_ = c.t.syscall()
 }
 
 // QueueSend enqueues a message, blocking while the queue is full.
 func (c *Ctx) QueueSend(q *MsgQueue, msg uint32) {
 	for {
-		err := c.t.syscall(request{kind: reqQueueSend, task: c.t, q: q, msg: msg})
-		if err != errRetry {
+		c.t.req = request{kind: reqQueueSend, task: c.t, q: q, msg: msg}
+		if c.t.syscall() != errRetry {
 			return
 		}
 	}
@@ -235,8 +262,8 @@ func (c *Ctx) QueueSend(q *MsgQueue, msg uint32) {
 // QueueRecv dequeues a message, blocking while the queue is empty.
 func (c *Ctx) QueueRecv(q *MsgQueue) uint32 {
 	for {
-		err := c.t.syscall(request{kind: reqQueueRecv, task: c.t, q: q})
-		if err != errRetry {
+		c.t.req = request{kind: reqQueueRecv, task: c.t, q: q}
+		if c.t.syscall() != errRetry {
 			return c.t.recvVal
 		}
 	}

@@ -133,26 +133,7 @@ func (p *Platform) Step() bool {
 		}
 	}
 
-	// Idle cores sleep forward to the runner's time.
-	slaveIdle = p.Slave.Idle() || p.Slave.Crashed()
-	masterIdle = !p.Master.Ready()
-	if slaveIdle && p.slaveT < p.masterT {
-		p.slaveT = p.masterT
-	}
-	if masterIdle && p.masterT < p.slaveT {
-		p.masterT = p.slaveT
-	}
-
-	// Fire events up to the conservative frontier.
-	frontier := p.slaveT
-	if p.masterT < frontier {
-		frontier = p.masterT
-	}
-	if frontier > p.SoC.Clock.Now() {
-		p.SoC.Clock.RunUntil(frontier)
-		progress = true
-	}
-	if progress {
+	if p.advance() || progress {
 		return true
 	}
 	// Both cores idle with no progress: if an event is still pending
@@ -170,16 +151,76 @@ func (p *Platform) Step() bool {
 	return false
 }
 
+// advance sleeps idle cores forward to the runner's time and fires
+// platform events up to the conservative frontier min(slaveT, masterT).
+// It reports whether the clock moved.
+func (p *Platform) advance() bool {
+	if (p.Slave.Idle() || p.Slave.Crashed()) && p.slaveT < p.masterT {
+		p.slaveT = p.masterT
+	}
+	if !p.Master.Ready() && p.masterT < p.slaveT {
+		p.masterT = p.slaveT
+	}
+	frontier := min(p.slaveT, p.masterT)
+	if frontier <= p.SoC.Clock.Now() {
+		return false
+	}
+	p.SoC.Clock.RunUntil(frontier)
+	return true
+}
+
 // StepN performs up to max co-simulation rounds, exactly as that many
 // Step calls would, and stops after a round that returns false. It
 // returns the rounds taken and the last round's result.
+//
+// While the slave is the only component that can move, a round would do
+// nothing but run one slave event and let the idle master's time follow
+// it, so StepN hands the slave a run of events instead — one round per
+// event, as Step counts them. The run ends on the event that reaches the
+// next platform event, which then fires at the same frontier as it would
+// step by step. Slave task bodies must not schedule platform events
+// themselves while such a run is under way (the bundled ones ring their
+// mailbox doorbells only after an undrained doorbell line has ended
+// batching for good); a doorbell rung mid-run would be timed from the
+// run's start.
 func (p *Platform) StepN(max int) (int, bool) {
-	for n := 1; n <= max; n++ {
+	n := 0
+	for n < max {
+		if budget, ok := p.slaveAlone(); ok {
+			cost, steps := p.Slave.Run(max-n, budget)
+			n += steps
+			p.steps += uint64(steps)
+			p.slaveT += cost
+			p.advance()
+			continue
+		}
+		n++
 		if !p.Step() {
 			return n, false
 		}
 	}
-	return max, true
+	return n, true
+}
+
+// slaveAlone reports whether the slave is the only component that can
+// move before the next platform event, and the cycles until that event
+// (0: none pending). That holds when the slave is runnable and its
+// committee-charged time is already accounted, the master has no ready
+// thread, no unmasked interrupt is pending on either core, and the
+// committee has neither a command to serve nor a reply to flush.
+func (p *Platform) slaveAlone() (clock.Cycles, bool) {
+	if p.Master.Ready() || p.Slave.Idle() || p.Slave.Crashed() || p.Slave.Cycles() > p.slaveT ||
+		p.SoC.DspIRQ.AnyPending() || p.SoC.ArmIRQ.AnyPending() || !p.Committee.Idle() {
+		return 0, false
+	}
+	next, pending := p.SoC.Clock.NextDue()
+	switch {
+	case !pending:
+		return 0, true
+	case next <= p.slaveT:
+		return 0, false
+	}
+	return next - p.slaveT, true
 }
 
 // RunUntilQuiescent steps until quiescence or maxSteps, returning the

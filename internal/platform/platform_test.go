@@ -10,6 +10,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/pcore"
 	"repro/internal/recording"
+	"repro/internal/stats"
 )
 
 // spinFactory creates tasks that yield forever (controllable via TS/TR/TD).
@@ -314,5 +315,46 @@ func TestManyConcurrentCommitters(t *testing.T) {
 	p.RunUntilQuiescent(100000)
 	if okCount != 16 {
 		t.Fatalf("completed %d of 16 commands", okCount)
+	}
+}
+
+// Once the slave runs alone, StepN hands it multi-event runs; in steady
+// state those allocate nothing, even with tasks blocking on and waking
+// from a contended mutex. The count covers the whole run, because
+// AllocsPerRun's per-call average would round a few allocations down to
+// zero.
+func TestStepNDoesNotAllocate(t *testing.T) {
+	rng := stats.New(1)
+	a, b := pcore.NewMutex("a"), pcore.NewMutex("b")
+	p := newP(t, Config{Kernel: pcore.Config{Noise: func() bool { return rng.Intn(4) == 0 }}})
+	for i := 0; i < 4; i++ {
+		if _, err := p.Slave.CreateTask("locker", 5, func(c *pcore.Ctx) {
+			for {
+				c.Lock(a)
+				c.Compute(10)
+				c.Lock(b)
+				c.Compute(10)
+				c.Progress()
+				c.Unlock(b)
+				c.Unlock(a)
+				c.Yield()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.StepN(1000)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 200; i++ {
+			if n, alive := p.StepN(64); n != 64 || !alive {
+				t.Fatalf("StepN took %d of 64 rounds (alive %v)", n, alive)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations over 200 StepN(64) calls, want 0", allocs)
+	}
+	if _, inline := p.Slave.RunStats(); inline == 0 {
+		t.Fatal("StepN never handed the slave a multi-event run")
 	}
 }
