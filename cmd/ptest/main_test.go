@@ -250,3 +250,67 @@ func TestRunDumpJournalPrintsFailureRecords(t *testing.T) {
 		t.Fatalf("journal has %d records, run reports %v", len(lines), m)
 	}
 }
+
+// -cpuprofile and -memprofile write non-empty profiles and leave the
+// command's output alone: the canonical suite report, and run's JSON
+// summary, match a run without them.
+func TestProfileFlagsWriteProfilesAndKeepOutput(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "spec.json")
+	specJSON := `{
+		"name": "cli-profile",
+		"trials": 2,
+		"max_steps": 100000,
+		"workloads": [{"name": "philosophers", "rounds": 200}],
+		"ops": ["roundrobin"],
+		"points": [{"n": 4, "s": 8}],
+		"tools": [{"name": "contest"}, {"name": "adaptive"}]
+	}`
+	if err := os.WriteFile(spec, []byte(specJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readNonEmpty := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 {
+			t.Fatalf("%s is empty", path)
+		}
+		return data
+	}
+	suiteOut := func(extra ...string) []byte {
+		out := filepath.Join(dir, "report.json")
+		if err := cmdSuite(append([]string{"-quiet", "-spec", spec, "-out", out, "-canonical"}, extra...)); err != nil {
+			t.Fatal(err)
+		}
+		return readNonEmpty(out)
+	}
+	cpu, mem := filepath.Join(dir, "suite.cpu"), filepath.Join(dir, "suite.mem")
+	plain := suiteOut()
+	if profiled := suiteOut("-cpuprofile", cpu, "-memprofile", mem); string(profiled) != string(plain) {
+		t.Fatalf("profiled suite report differs:\n%s\nwant\n%s", profiled, plain)
+	}
+	readNonEmpty(cpu)
+	readNonEmpty(mem)
+
+	runArgs := []string{"-pcore", "-n", "2", "-s", "4", "-json"}
+	var runErr error
+	plainRun := captureStdout(t, func() { runErr = cmdRun(runArgs) })
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	cpu, mem = filepath.Join(dir, "run.cpu"), filepath.Join(dir, "run.mem")
+	profiledRun := captureStdout(t, func() {
+		runErr = cmdRun(append([]string{"-cpuprofile", cpu, "-memprofile", mem}, runArgs...))
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if profiledRun != plainRun {
+		t.Fatalf("profiled run output differs:\n%s\nwant\n%s", profiledRun, plainRun)
+	}
+	readNonEmpty(cpu)
+	readNonEmpty(mem)
+}

@@ -70,7 +70,7 @@ func newWorkloadFactory(workload string, n, rounds int, seed uint64) (func() com
 	return nf, nil
 }
 
-func cmdRun(args []string) error {
+func cmdRun(args []string) (err error) {
 	fs := flag.NewFlagSet("ptest run", flag.ContinueOnError)
 	var (
 		re         = fs.String("re", "", "service regular expression")
@@ -101,10 +101,20 @@ func cmdRun(args []string) error {
 		storeMem   = fs.Int("store-mem", 4096, "result-store in-memory LRU entries")
 		storeBatch = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = one PUT per cell; -store-url only)")
 		apiKey     = apiKeyFlag(fs)
+		profiles   = addProfileFlags(fs)
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	stopProfiles, err := profiles.start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 
 	if *replayF != "" {
 		return runReplay(*replayF, *rounds)

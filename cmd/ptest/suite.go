@@ -22,7 +22,7 @@ import (
 	"repro/internal/suite"
 )
 
-func cmdSuite(args []string) error {
+func cmdSuite(args []string) (err error) {
 	fs := flag.NewFlagSet("ptest suite", flag.ContinueOnError)
 	var (
 		specPath   = fs.String("spec", "", "suite spec JSON file (required)")
@@ -36,10 +36,20 @@ func cmdSuite(args []string) error {
 		storeBatch = fs.Int("store-batch", 16, "coalesce remote store writes into batches of this many cells (0 = one PUT per cell; -store-url only)")
 		apiKey     = apiKeyFlag(fs)
 		quiet      = fs.Bool("quiet", false, "suppress the per-cell progress summary on stderr")
+		profiles   = addProfileFlags(fs)
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	stopProfiles, err := profiles.start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	if *specPath == "" {
 		return usagef("suite: -spec is required")
 	}
