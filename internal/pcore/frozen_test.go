@@ -46,7 +46,8 @@ type recorder struct {
 // chunk 1 steps the same way without recording the steps — the
 // reference for Run, whose per-event costs are not visible. A larger
 // chunk advances through Kernel.Run (and Platform.StepN) in runs of up
-// to chunk events, each run also bounded by budget cycles (0: none).
+// to chunk events; a non-zero budget also ends each kernel run once its
+// events have cost that many cycles.
 type drive struct {
 	chunk  int
 	budget clock.Cycles
@@ -104,7 +105,15 @@ func (r *recorder) steps(k *pcore.Kernel, n int) {
 		}
 	default:
 		for n > 0 {
-			_, taken := k.Run(min(n, r.chunk), r.budget)
+			var after func(clock.Cycles) bool
+			if r.budget > 0 {
+				spent := clock.Cycles(0)
+				after = func(cost clock.Cycles) bool {
+					spent += cost
+					return spent < r.budget
+				}
+			}
+			_, taken := k.Run(min(n, r.chunk), after)
 			if taken == 0 {
 				return // idle: further Step calls would change nothing
 			}

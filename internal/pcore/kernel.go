@@ -65,13 +65,13 @@ type Kernel struct {
 
 	// The current Run: the task holding the processor in the event being
 	// taken (nil between events), that event's context-switch cost, the
-	// events the run may still take, and its cycle budget from runStart
-	// (0: none).
+	// events the run may still take, the caller's after-event check, and
+	// whether that check let the run go on.
 	running    *Task
 	switchCost clock.Cycles
 	runLeft    int
-	runStart   clock.Cycles
-	runBudget  clock.Cycles
+	runAfter   func(cost clock.Cycles) bool
+	runOn      bool
 
 	waitMark []TaskID // HasWaitCycle's scratch: the walk that reached each slot
 
@@ -260,19 +260,23 @@ func (k *Kernel) Idle() bool { return k.readyMask == 0 }
 // the virtual-cycle cost and whether any task ran. A crashed kernel
 // never runs.
 func (k *Kernel) Step() (clock.Cycles, bool) {
-	cost, steps := k.Run(1, 0)
+	cost, steps := k.Run(1, nil)
 	return cost, steps > 0
 }
 
 // Run takes up to maxSteps kernel events, exactly as that many Step
-// calls would, and stops early once their summed cost reaches budget (0
-// means no limit). It returns the summed cost and the events taken.
+// calls would. After each event, with the kernel's time already
+// charged, it calls after (when non-nil) with the event's cost; a false
+// return ends the run there. Run returns the summed cost and the events
+// taken.
 //
 // A task that keeps the processor from one event to the next takes
-// them on its own coroutine (see Task.syscall); the loop here resumes a
-// task only when the processor changes hands.
-func (k *Kernel) Run(maxSteps int, budget clock.Cycles) (cost clock.Cycles, steps int) {
-	k.runLeft, k.runStart, k.runBudget = maxSteps, k.cycles, budget
+// them on its own coroutine (see Task.syscall), and after runs there
+// too; the loop here resumes a task only when the processor changes
+// hands.
+func (k *Kernel) Run(maxSteps int, after func(cost clock.Cycles) bool) (cost clock.Cycles, steps int) {
+	start := k.cycles
+	k.runLeft, k.runAfter, k.runOn = maxSteps, after, true
 	for k.runMore() {
 		t := k.pickNext()
 		if t == nil {
@@ -284,14 +288,13 @@ func (k *Kernel) Run(maxSteps int, budget clock.Cycles) (cost clock.Cycles, step
 		}
 	}
 	steps = maxSteps - k.runLeft
-	k.runLeft = 0
-	return k.cycles - k.runStart, steps
+	k.runLeft, k.runAfter = 0, nil
+	return k.cycles - start, steps
 }
 
 // runMore reports whether the current run may take another event.
 func (k *Kernel) runMore() bool {
-	return k.fault == nil && k.runLeft > 0 &&
-		(k.runBudget == 0 || k.cycles-k.runStart < k.runBudget)
+	return k.runOn && k.runLeft > 0 && k.fault == nil
 }
 
 // dispatch starts an event: t takes the processor, paying a context
@@ -318,6 +321,7 @@ func (k *Kernel) finish(req *request) {
 	req.task.syscalls++
 	cost := k.switchCost + k.handle(req)
 	k.cycles += cost
+	k.runOn = k.runAfter == nil || k.runAfter(cost)
 }
 
 // continueRun starts the run's next event for t, which has just served
@@ -360,13 +364,7 @@ func (k *Kernel) terminates(req *request) bool {
 // RunUntilIdle steps the kernel until no task is ready, the kernel
 // crashes, or maxSteps is exceeded; it returns the steps taken.
 func (k *Kernel) RunUntilIdle(maxSteps int) int {
-	steps := 0
-	for steps < maxSteps {
-		if _, ran := k.Step(); !ran {
-			break
-		}
-		steps++
-	}
+	_, steps := k.Run(maxSteps, nil)
 	return steps
 }
 

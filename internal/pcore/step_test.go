@@ -68,11 +68,11 @@ func TestKernelRunDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	k.Run(1000, 0)
+	k.Run(1000, nil)
 	before, _ := k.RunStats()
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 200; i++ {
-			if _, steps := k.Run(64, 0); steps != 64 {
+			if _, steps := k.Run(64, nil); steps != 64 {
 				t.Fatalf("run took %d of 64 events", steps)
 			}
 		}

@@ -39,6 +39,8 @@ type Platform struct {
 	// time (a sleeping core consumes time doing nothing).
 	slaveT  clock.Cycles
 	masterT clock.Cycles
+
+	follow func(cost clock.Cycles) bool // p.endEvent, bound once so StepN does not allocate
 }
 
 // New builds and wires a platform. The factory may be nil if no TC
@@ -75,6 +77,7 @@ func New(cfg Config) (*Platform, error) {
 		Client:    client,
 		Committee: cmte,
 	}
+	p.follow = p.endEvent
 	// Interrupt wiring: command doorbells drive the committee, reply
 	// doorbells drive the client's reply pump.
 	soc.DspIRQ.Handle(interrupt.LineMailboxCmd, func() { cmte.Poll() })
@@ -174,23 +177,20 @@ func (p *Platform) advance() bool {
 // returns the rounds taken and the last round's result.
 //
 // While the slave is the only component that can move, a round would do
-// nothing but run one slave event and let the idle master's time follow
-// it, so StepN hands the slave a run of events instead — one round per
-// event, as Step counts them. The run ends on the event that reaches the
-// next platform event, which then fires at the same frontier as it would
-// step by step. Slave task bodies must not schedule platform events
-// themselves while such a run is under way (the bundled ones ring their
-// mailbox doorbells only after an undrained doorbell line has ended
-// batching for good); a doorbell rung mid-run would be timed from the
-// run's start.
+// nothing but run one slave event and let the idle master and the clock
+// follow it, so StepN hands the slave a run of events instead — one
+// round per event, as Step counts them. After each event, endEvent does
+// that round's bookkeeping on the spot, so the clock reads as it would
+// step by step, and ends the run as soon as another component could
+// move: a platform event falls due, an interrupt is raised, the master
+// or the committee has work, or the slave goes idle.
 func (p *Platform) StepN(max int) (int, bool) {
 	n := 0
 	for n < max {
-		if budget, ok := p.slaveAlone(); ok {
-			cost, steps := p.Slave.Run(max-n, budget)
+		if p.slaveAlone() {
+			_, steps := p.Slave.Run(max-n, p.follow)
 			n += steps
 			p.steps += uint64(steps)
-			p.slaveT += cost
 			p.advance()
 			continue
 		}
@@ -202,36 +202,40 @@ func (p *Platform) StepN(max int) (int, bool) {
 	return n, true
 }
 
-// slaveAlone reports whether the slave is the only component that can
-// move before the next platform event, and the cycles until that event
-// (0: none pending). That holds when the slave is runnable and its
-// committee-charged time is already accounted, the master has no ready
-// thread, no unmasked interrupt is pending on either core, and the
-// committee has neither a command to serve nor a reply to flush.
-func (p *Platform) slaveAlone() (clock.Cycles, bool) {
+// slaveAlone reports whether the next round would only run a slave
+// event: the slave is runnable and its committee-charged time is
+// already accounted, the master has no ready thread, no unmasked
+// interrupt is pending on either core, the committee has neither a
+// command to serve nor a reply to flush, and no platform event is due
+// by the slave's time.
+func (p *Platform) slaveAlone() bool {
 	if p.Master.Ready() || p.Slave.Idle() || p.Slave.Crashed() || p.Slave.Cycles() > p.slaveT ||
 		p.SoC.DspIRQ.AnyPending() || p.SoC.ArmIRQ.AnyPending() || !p.Committee.Idle() {
-		return 0, false
+		return false
 	}
 	next, pending := p.SoC.Clock.NextDue()
-	switch {
-	case !pending:
-		return 0, true
-	case next <= p.slaveT:
-		return 0, false
+	return !pending || next > p.slaveT
+}
+
+// endEvent ends one slave event of a StepN run as Step ends its round:
+// the slave's time advances by the event's cost and, while the slave
+// stays alone, the clock comes along (no event is due by then).
+// Otherwise it ends the run, and StepN settles the round with advance.
+func (p *Platform) endEvent(cost clock.Cycles) bool {
+	p.slaveT += cost
+	if !p.slaveAlone() {
+		return false
 	}
-	return next - p.slaveT, true
+	p.SoC.Clock.RunUntil(p.slaveT)
+	return true
 }
 
 // RunUntilQuiescent steps until quiescence or maxSteps, returning the
 // number of steps taken.
 func (p *Platform) RunUntilQuiescent(maxSteps int) int {
-	n := 0
-	for n < maxSteps {
-		if !p.Step() {
-			break
-		}
-		n++
+	n, alive := p.StepN(maxSteps)
+	if !alive {
+		n-- // the round that found the platform quiescent
 	}
 	return n
 }

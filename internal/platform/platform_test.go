@@ -1,11 +1,15 @@
 package platform
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bridge"
 	"repro/internal/committee"
 	"repro/internal/committer"
+	"repro/internal/interrupt"
+	"repro/internal/mailbox"
 	"repro/internal/master"
 	"repro/internal/pattern"
 	"repro/internal/pcore"
@@ -356,5 +360,75 @@ func TestStepNDoesNotAllocate(t *testing.T) {
 	}
 	if _, inline := p.Slave.RunStats(); inline == 0 {
 		t.Fatal("StepN never handed the slave a multi-event run")
+	}
+}
+
+// What a run of slave events shows the rest of the platform must match
+// stepping round by round: kernel hooks that read the platform clock, a
+// doorbell a task rings in the middle of a run, whose delivery is timed
+// from the clock at that moment, and an interrupt a task raises, whose
+// handler runs in the next round.
+func TestStepNMatchesStepLoop(t *testing.T) {
+	run := func(chunk int) string {
+		p := newP(t, Config{})
+		box := p.SoC.Boxes.DspToArmEvent
+		var log strings.Builder
+		p.SoC.DspIRQ.Handle(interrupt.LineTimer, func() {
+			fmt.Fprintf(&log, "irq %d %d\n", p.Now(), p.Steps())
+		})
+		p.SoC.ArmIRQ.Handle(interrupt.LineMailboxEvent, func() {
+			for {
+				m, ok := box.Recv()
+				if !ok {
+					return
+				}
+				fmt.Fprintf(&log, "doorbell %d %d %d\n", m.Arg(), p.Now(), p.Steps())
+			}
+		})
+		p.Slave.OnEvent(func(e pcore.Event) {
+			fmt.Fprintf(&log, "%d %d %s %d %d\n", e.At, p.Now(), e.Kind, p.SoC.Clock.Pending(), box.Len())
+		})
+		if _, err := p.Slave.CreateTask("ringer", 5, func(c *pcore.Ctx) {
+			for i := 0; ; i++ {
+				c.Compute(30)
+				if i%7 == 0 {
+					_ = box.Post(mailbox.Compose(1, uint16(i)))
+				}
+				if i%11 == 0 {
+					p.SoC.DspIRQ.Raise(interrupt.LineTimer)
+				}
+				c.Progress()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Slave.CreateTask("spinner", 5, func(c *pcore.Ctx) {
+			for {
+				c.Compute(7)
+				c.Yield()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < 3000; {
+			if chunk == 1 {
+				p.Step()
+				n++
+				continue
+			}
+			taken, _ := p.StepN(min(chunk, 3000-n))
+			n += taken
+		}
+		if _, inline := p.Slave.RunStats(); chunk > 1 && inline == 0 {
+			t.Fatalf("StepN(%d) never ran the slave ahead", chunk)
+		}
+		fmt.Fprintf(&log, "steps %d now %d\n", p.Steps(), p.Now())
+		return log.String()
+	}
+	want := run(1)
+	for _, chunk := range []int{7, 64} {
+		if got := run(chunk); got != want {
+			t.Errorf("StepN(%d) diverges from the Step loop", chunk)
+		}
 	}
 }
