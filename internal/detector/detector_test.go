@@ -394,3 +394,39 @@ func TestCheckBetweenBugsDoesNotAllocate(t *testing.T) {
 		t.Fatal("no philosopher ever waited on a fork")
 	}
 }
+
+// HasWaitCycle, the allocation-free deadlock test, agrees with a cycle
+// search over the full wait-for graph in every state of philosopher
+// runs that block in chains and, without a fork order, deadlock.
+func TestHasWaitCycleMatchesFindCycle(t *testing.T) {
+	chains, cycles := 0, 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := stats.New(seed)
+		f, _ := app.Philosophers(4, 2000, seed%2 == 0)
+		p := newP(t, platform.Config{Factory: f, Kernel: pcore.Config{
+			Quantum: 1 << 30, Noise: func() bool { return rng.Intn(3) == 0 }}})
+		for logical := uint32(0); logical < 4; logical++ {
+			spec := f(logical)
+			if _, err := p.Slave.CreateTask(spec.Name, spec.Prio, spec.Entry); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 50_000 && p.Step(); i++ {
+			g := p.Slave.WaitForGraph()
+			want := len(FindCycle(g)) > 0
+			if got := p.Slave.HasWaitCycle(); got != want {
+				t.Fatalf("seed %d step %d: HasWaitCycle %v, graph %v", seed, i, got, g)
+			}
+			if want {
+				cycles++
+				break
+			}
+			if len(g) > 1 {
+				chains++
+			}
+		}
+	}
+	if chains == 0 || cycles == 0 {
+		t.Fatalf("%d states with several waiters, %d deadlocks: the runs did not cover both", chains, cycles)
+	}
+}

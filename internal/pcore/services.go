@@ -355,8 +355,8 @@ func (k *Kernel) LiveTasks() []TaskID {
 	return out
 }
 
-// waitsFor returns the task id's blocked-on-mutex edge leads to — the
-// mutex's current owner — or InvalidTask when it has none. Edges to dead
+// waitsFor returns the task that task id waits for — the live owner of
+// the mutex it is blocked on — or InvalidTask when there is none. Edges to dead
 // owners are excluded: a mutex whose owner was deleted (pCore leaks such
 // locks deliberately) is an orphaned lock, reported separately through
 // OrphanedWaiters — and because TCB slots are reused, a stale owner

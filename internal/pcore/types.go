@@ -7,9 +7,10 @@
 // fault site of the paper's first case study.
 //
 // Determinism: each task body runs as an iter.Pull coroutine. The kernel
-// resumes the task, and the task yields control back at every kernel
-// call, so exactly one of them executes at any instant and the Go
-// scheduler never influences simulated behaviour. All simulated faults
+// resumes the task, and the task yields control back when it gives up
+// the processor (while it keeps it inside a Kernel.Run, it serves its
+// own kernel calls), so exactly one of them executes at any instant and
+// the Go scheduler never influences simulated behaviour. All simulated faults
 // are captured as *KernelFault values; they never escape as Go panics.
 package pcore
 

@@ -40,7 +40,7 @@ type Platform struct {
 	slaveT  clock.Cycles
 	masterT clock.Cycles
 
-	follow func(cost clock.Cycles) bool // p.endEvent, bound once so StepN does not allocate
+	endEventFn func(cost clock.Cycles) bool // p.endEvent, bound once so StepN does not allocate
 }
 
 // New builds and wires a platform. The factory may be nil if no TC
@@ -77,7 +77,7 @@ func New(cfg Config) (*Platform, error) {
 		Client:    client,
 		Committee: cmte,
 	}
-	p.follow = p.endEvent
+	p.endEventFn = p.endEvent
 	// Interrupt wiring: command doorbells drive the committee, reply
 	// doorbells drive the client's reply pump.
 	soc.DspIRQ.Handle(interrupt.LineMailboxCmd, func() { cmte.Poll() })
@@ -188,7 +188,7 @@ func (p *Platform) StepN(max int) (int, bool) {
 	n := 0
 	for n < max {
 		if p.slaveAlone() {
-			_, steps := p.Slave.Run(max-n, p.follow)
+			_, steps := p.Slave.Run(max-n, p.endEventFn)
 			n += steps
 			p.steps += uint64(steps)
 			p.advance()
