@@ -272,8 +272,8 @@ func (k *Kernel) Step() (clock.Cycles, bool) {
 //
 // A task that keeps the processor from one event to the next takes
 // them on its own coroutine (see Task.syscall), and after runs there
-// too; the loop here resumes a task only when the processor changes
-// hands.
+// too, so it must not call back into the kernel. The loop here resumes
+// a task only when the processor changes hands.
 func (k *Kernel) Run(maxSteps int, after func(cost clock.Cycles) bool) (cost clock.Cycles, steps int) {
 	start := k.cycles
 	k.runLeft, k.runAfter, k.runOn = maxSteps, after, true
