@@ -348,6 +348,43 @@ func startFleetWorkerCfg(t *testing.T, hubURL string, cfg dispatch.WorkerConfig,
 	go func() { errc <- w.Run(ctx) }()
 }
 
+// alternatingLeaseFront serves the hub through a front that makes both
+// wires lease at least one cell of a mixed-version job, whichever worker
+// happens to poll first: a v2 lease:batch is held until some v1 lease
+// has been granted, and once the v1 worker holds a grant its next lease
+// poll is held until a v2 batch has granted cells. Only polls are held —
+// v1 completions travel on their own route, and a held v2 poll carries
+// no completions because the v2 worker has not been granted anything
+// yet — so the job cannot stall. A held request is released when its
+// worker goes away or after a bound, so a regression fails the test's
+// assertions instead of hanging it.
+func alternatingLeaseFront(t *testing.T, s *Server) *httptest.Server {
+	t.Helper()
+	holdUntil := func(r *http.Request, ready func(dispatch.Metrics) bool) {
+		deadline := time.Now().Add(10 * time.Second)
+		for !ready(s.disp.Metrics()) && time.Now().Before(deadline) {
+			select {
+			case <-r.Context().Done():
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	v1Granted := func(m dispatch.Metrics) bool { return m.LeasesGranted > m.LeaseBatchCells }
+	v2Granted := func(m dispatch.Metrics) bool { return m.LeaseBatchCells > 0 }
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/lease:batch"):
+			holdUntil(r, v1Granted)
+		case strings.HasSuffix(r.URL.Path, "/lease") && v1Granted(s.disp.Metrics()):
+			holdUntil(r, v2Granted)
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	return front
+}
+
 func TestE2EMixedVersionFleetV1AndV2WorkersByteIdentical(t *testing.T) {
 	spec, err := suite.Parse(strings.NewReader(e2eSpec))
 	if err != nil {
@@ -363,14 +400,15 @@ func TestE2EMixedVersionFleetV1AndV2WorkersByteIdentical(t *testing.T) {
 	}
 
 	s, cli := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	front := alternatingLeaseFront(t, s)
 	errc := make(chan error, 2)
 	// One worker pinned to the v1 single-lease wire (LeaseBatch < 0) and
 	// one on the v2 batched wire share the job; the merged report must
 	// not betray which wire executed which cell.
-	startFleetWorkerCfg(t, cli.BaseURL(), dispatch.WorkerConfig{
+	startFleetWorkerCfg(t, front.URL, dispatch.WorkerConfig{
 		Name: "legacy-v1", PollInterval: 25 * time.Millisecond, LeaseBatch: -1,
 	}, errc)
-	startFleetWorkerCfg(t, cli.BaseURL(), dispatch.WorkerConfig{
+	startFleetWorkerCfg(t, front.URL, dispatch.WorkerConfig{
 		Name: "batched-v2", PollInterval: 25 * time.Millisecond,
 		LeaseBatch: 16, CompleteLinger: 5 * time.Millisecond,
 	}, errc)
